@@ -4,7 +4,7 @@
 // Usage:
 //
 //	schedsim -policy flowtime -eps 0.2 trace.json
-//	schedsim -policy wflow -eps 0.2 -parallel 4 trace.json
+//	schedsim -policy wflow -eps 0.2 trace.json
 //	schedsim -policy speedscale -eps 0.3 -alpha 2 trace.json
 //	schedsim -policy srpt trace.json
 //	schedsim -policy energymin deadline.json
@@ -81,7 +81,6 @@ func main() {
 		eps      = flag.Float64("eps", 0.2, "rejection parameter ε")
 		alpha    = flag.Float64("alpha", 0, "power exponent override (0: use trace)")
 		epsS     = flag.Float64("epsS", 0.2, "speed augmentation (speedaug)")
-		parallel = flag.Int("parallel", 0, "dispatch worker count for the λ-dispatch policies (0: auto, 1: sequential)")
 		eventq   = flag.String("eventq", "", "engine event-queue implementation for the session-backed policies: heap|calendar (empty: heap; performance-only)")
 		stream   = flag.Bool("stream", false, "consume an NDJSON trace incrementally (file or stdin)")
 		batch    = flag.Int("batch", 256, "stream ingestion batch size (1: per-job Feed path)")
@@ -110,7 +109,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: schedsim -compare [-policy flowtime|wflow] [flags] trace.json")
 			os.Exit(2)
 		}
-		runCompare(*policy, *eps, *parallel, flag.Arg(0))
+		runCompare(*policy, *eps, flag.Arg(0))
 		return
 	}
 	if *stream {
@@ -126,7 +125,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "schedsim: -checkpoint-every/-checkpoint-deltas/-checkpoint-keep/-stop-after need -checkpoint FILE")
 			os.Exit(2)
 		}
-		runStream(*policy, *eps, *alpha, *parallel, *batch, *eventq, flag.Arg(0), *dump, *progress,
+		runStream(*policy, *eps, *alpha, *batch, *eventq, flag.Arg(0), *dump, *progress,
 			streamCheckpoints{File: *ckpt, Every: *ckptN, Deltas: *ckptD, Keep: *ckptK, StopAfter: *stopN, Resume: *resume})
 		return
 	}
@@ -147,27 +146,27 @@ func main() {
 	mode := sched.ValidateMode{}
 	switch *policy {
 	case "flowtime":
-		res, err := flowtime.Run(ins, flowtime.Options{Epsilon: *eps, ParallelDispatch: *parallel, EventQueue: *eventq})
+		res, err := flowtime.Run(ins, flowtime.Options{Epsilon: *eps, EventQueue: *eventq})
 		if err != nil {
 			fatal(err)
 		}
 		out = res.Outcome
 		mode.RequireUnitSpeed = true
 	case "wflow":
-		res, err := wflow.Run(ins, wflow.Options{Epsilon: *eps, ParallelDispatch: *parallel, EventQueue: *eventq})
+		res, err := wflow.Run(ins, wflow.Options{Epsilon: *eps, EventQueue: *eventq})
 		if err != nil {
 			fatal(err)
 		}
 		out = res.Outcome
 		mode.RequireUnitSpeed = true
 	case "speedscale":
-		res, err := speedscale.Run(ins, speedscale.Options{Epsilon: *eps, Alpha: *alpha, ParallelDispatch: *parallel, EventQueue: *eventq})
+		res, err := speedscale.Run(ins, speedscale.Options{Epsilon: *eps, Alpha: *alpha, EventQueue: *eventq})
 		if err != nil {
 			fatal(err)
 		}
 		out = res.Outcome
 	case "srpt":
-		res, err := srpt.Run(ins, srpt.Options{ParallelDispatch: *parallel, EventQueue: *eventq})
+		res, err := srpt.Run(ins, srpt.Options{EventQueue: *eventq})
 		if err != nil {
 			fatal(err)
 		}
@@ -344,7 +343,7 @@ func streamProgress(reg *obs.Registry, every time.Duration, stop <-chan struct{}
 	}
 }
 
-func runStream(policy string, eps, alpha float64, parallel, batch int, eventq, path, dump string, progress time.Duration, ck streamCheckpoints) {
+func runStream(policy string, eps, alpha float64, batch int, eventq, path, dump string, progress time.Duration, ck streamCheckpoints) {
 	in := io.Reader(os.Stdin)
 	name := "stdin"
 	if path != "" && path != "-" {
@@ -388,7 +387,7 @@ func runStream(policy string, eps, alpha float64, parallel, batch int, eventq, p
 	)
 	switch policy {
 	case "flowtime":
-		opt := flowtime.Options{Epsilon: eps, ParallelDispatch: parallel, SizeHint: r.Jobs(), EventQueue: eventq}
+		opt := flowtime.Options{Epsilon: eps, SizeHint: r.Jobs(), EventQueue: eventq}
 		var s *flowtime.Session
 		var err error
 		if resumeFrom != nil {
@@ -408,7 +407,7 @@ func runStream(policy string, eps, alpha float64, parallel, batch int, eventq, p
 			return res.Outcome, nil
 		}
 	case "wflow":
-		opt := wflow.Options{Epsilon: eps, ParallelDispatch: parallel, SizeHint: r.Jobs(), EventQueue: eventq}
+		opt := wflow.Options{Epsilon: eps, SizeHint: r.Jobs(), EventQueue: eventq}
 		var s *wflow.Session
 		var err error
 		if resumeFrom != nil {
@@ -432,7 +431,7 @@ func runStream(policy string, eps, alpha float64, parallel, batch int, eventq, p
 		if a == 0 {
 			a = r.Alpha()
 		}
-		opt := speedscale.Options{Epsilon: eps, Alpha: a, ParallelDispatch: parallel, SizeHint: r.Jobs(), EventQueue: eventq}
+		opt := speedscale.Options{Epsilon: eps, Alpha: a, SizeHint: r.Jobs(), EventQueue: eventq}
 		var s *speedscale.Session
 		var err error
 		if resumeFrom != nil {
@@ -452,7 +451,7 @@ func runStream(policy string, eps, alpha float64, parallel, batch int, eventq, p
 			return res.Outcome, nil
 		}
 	case "srpt":
-		opt := srpt.Options{ParallelDispatch: parallel, SizeHint: r.Jobs(), EventQueue: eventq}
+		opt := srpt.Options{SizeHint: r.Jobs(), EventQueue: eventq}
 		var s *srpt.Session
 		var err error
 		if resumeFrom != nil {
@@ -722,7 +721,7 @@ func runStream(policy string, eps, alpha float64, parallel, batch int, eventq, p
 // their rejection instant (the paper's accounting), this ratio can dip
 // below 1 under overload — rejection substituting for preemption, the §1
 // claim E15 quantifies across workload families.
-func runCompare(policy string, eps float64, parallel int, path string) {
+func runCompare(policy string, eps float64, path string) {
 	ins, err := trace.LoadInstance(path)
 	if err != nil {
 		fatal(err)
@@ -741,11 +740,11 @@ func runCompare(policy string, eps float64, parallel int, path string) {
 	case "flowtime":
 		nonName, preName, objective = "flowtime (non-preemptive)", "srpt (preemptive)", "total flow"
 		costOf = func(m sched.Metrics) float64 { return m.TotalFlow }
-		nres, err := flowtime.Run(ins, flowtime.Options{Epsilon: eps, ParallelDispatch: parallel})
+		nres, err := flowtime.Run(ins, flowtime.Options{Epsilon: eps})
 		if err != nil {
 			fatal(err)
 		}
-		pres, err := srpt.Run(ins, srpt.Options{ParallelDispatch: parallel})
+		pres, err := srpt.Run(ins, srpt.Options{})
 		if err != nil {
 			fatal(err)
 		}
@@ -755,7 +754,7 @@ func runCompare(policy string, eps float64, parallel int, path string) {
 	case "wflow":
 		nonName, preName, objective = "wflow (non-preemptive)", "wsrpt (preemptive, migratory)", "weighted flow"
 		costOf = func(m sched.Metrics) float64 { return m.WeightedFlow }
-		nres, err := wflow.Run(ins, wflow.Options{Epsilon: eps, ParallelDispatch: parallel})
+		nres, err := wflow.Run(ins, wflow.Options{Epsilon: eps})
 		if err != nil {
 			fatal(err)
 		}

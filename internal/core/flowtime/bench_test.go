@@ -80,8 +80,9 @@ func BenchmarkStreamSessionBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchPath isolates the λ evaluation (RankStats over m treaps)
-// by running a workload whose jobs all arrive before any completes.
+// BenchmarkDispatchPath isolates the λ evaluation (RankStats over m
+// ostree.Flat pending indexes) by running a workload whose jobs all arrive
+// before any completes.
 func BenchmarkDispatchPath(b *testing.B) {
 	cfg := workload.DefaultConfig(5000, 8, 5)
 	cfg.Load = 50 // everything lands at once: pure dispatch cost

@@ -7,58 +7,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestParallelDispatchDeterminism is the golden-outcome test of the sharded
-// dispatch path: on randomized instances, runs with any worker count must
-// produce an Outcome identical to the sequential run — same intervals in the
-// same order, same completion/rejection/assignment maps — because the shard
-// reduction preserves the sequential argmin exactly.
-func TestParallelDispatchDeterminism(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		cfg := workload.DefaultConfig(600, 16, seed)
-		cfg.Load = 1.3
-		ins := workload.Random(cfg)
-		seq, err := Run(ins, Options{Epsilon: 0.2, ParallelDispatch: 1})
-		if err != nil {
-			t.Fatalf("seed %d sequential: %v", seed, err)
-		}
-		for _, workers := range []int{2, 3, 5, 16} {
-			par, err := Run(ins, Options{Epsilon: 0.2, ParallelDispatch: workers})
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			if !reflect.DeepEqual(seq.Outcome, par.Outcome) {
-				t.Fatalf("seed %d: outcome diverges with %d workers", seed, workers)
-			}
-			if seq.Rule1Rejections != par.Rule1Rejections || seq.Rule2Rejections != par.Rule2Rejections {
-				t.Fatalf("seed %d workers %d: rejection counts diverge (%d/%d vs %d/%d)",
-					seed, workers, seq.Rule1Rejections, seq.Rule2Rejections, par.Rule1Rejections, par.Rule2Rejections)
-			}
-		}
-	}
-}
-
-// TestParallelDispatchDeterminismDual repeats the golden-outcome check with
-// dual tracking on, covering the λ/C̃ recording paths.
-func TestParallelDispatchDeterminismDual(t *testing.T) {
-	cfg := workload.DefaultConfig(300, 8, 3)
-	cfg.Load = 1.2
-	ins := workload.Random(cfg)
-	seq, err := Run(ins, Options{Epsilon: 0.25, TrackDual: true, ParallelDispatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(ins, Options{Epsilon: 0.25, TrackDual: true, ParallelDispatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Outcome, par.Outcome) {
-		t.Fatal("outcome diverges under dual tracking")
-	}
-	if !reflect.DeepEqual(seq.Dual.Lambda, par.Dual.Lambda) || !reflect.DeepEqual(seq.Dual.CTilde, par.Dual.CTilde) {
-		t.Fatal("dual report diverges")
-	}
-}
-
 // TestDualTrackingDoesNotChangeOutcome pins the invariant that the dual
 // bookkeeping (skipped entirely when TrackDual is off) never influences a
 // scheduling decision.

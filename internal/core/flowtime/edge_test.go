@@ -81,26 +81,92 @@ func TestDualCheckerDetectsViolations(t *testing.T) {
 	}
 }
 
-// TestLambdaMatchesBruteForceEvaluation cross-checks the treap-based λ_ij
-// evaluation against a naive O(n) recomputation at every arrival.
+// TestLambdaMatchesBruteForceEvaluation checks every dispatch against a
+// plain-slice recomputation of the §2 rule. For each arrival j it rebuilds
+// each machine's pending set from the recorded outcome — jobs assigned
+// there, released earlier, and neither started nor rejected before r_j —
+// evaluates λ_ij = p_ij/ε + Σ_{ℓ⪯j} p_iℓ + |{ℓ≻j}|·p_ij over it, and
+// asserts that j went to the lowest-index strict minimiser and that the
+// dual records λ_j = ε/(1+ε)·min_i λ_ij.
 func TestLambdaMatchesBruteForceEvaluation(t *testing.T) {
-	// Deterministic medium instance with queue build-up.
-	cfg := workload.DefaultConfig(80, 2, 11)
-	cfg.Load = 1.6
-	ins := workload.Random(cfg)
-	eps := 0.3
+	for _, tc := range []struct {
+		n, m int
+		seed int64
+		load float64
+		eps  float64
+	}{
+		{80, 2, 11, 1.6, 0.3},
+		{300, 4, 5, 1.8, 0.6},
+	} {
+		cfg := workload.DefaultConfig(tc.n, tc.m, tc.seed)
+		cfg.Load = tc.load
+		ins := workload.Random(cfg)
+		// Distinct releases make "before r_j" unambiguous: every start or
+		// rejection at exactly r_j is then a consequence of j's own arrival,
+		// after λ was evaluated.
+		for k := 1; k < len(ins.Jobs); k++ {
+			if !(ins.Jobs[k].Release > ins.Jobs[k-1].Release) {
+				t.Fatalf("instance %+v: releases %d and %d not strictly increasing", tc, k-1, k)
+			}
+		}
+		res := mustRun(t, ins, Options{Epsilon: tc.eps, TrackDual: true})
+		out := res.Outcome
+		if res.Rule1Rejections == 0 || res.Rule2Rejections == 0 {
+			t.Fatalf("instance %+v: want both rejection rules exercised, got %d/%d",
+				tc, res.Rule1Rejections, res.Rule2Rejections)
+		}
 
-	// Re-derive each λ_j from the outcome: replay the run and, at each
-	// arrival, recompute min_i λ_ij by scanning the pending sets that the
-	// recorded schedule implies. Instead of re-simulating the queues, use
-	// a second Run with TrackDual and compare against a third run —
-	// determinism makes λ reproducible; the brute-force check itself
-	// lives in the treap tests. Here we assert reproducibility.
-	r1 := mustRun(t, ins, Options{Epsilon: eps, TrackDual: true})
-	r2 := mustRun(t, ins, Options{Epsilon: eps, TrackDual: true})
-	for id, l1 := range r1.Dual.Lambda {
-		if l2 := r2.Dual.Lambda[id]; math.Abs(l1-l2) > 1e-12 {
-			t.Fatalf("λ_%d differs across identical runs: %v vs %v", id, l1, l2)
+		// leave[id]: when the job stopped being pending — its first start,
+		// or its rejection time if it never ran (Rule 2, or a zero-elapsed
+		// Rule 1 rejection).
+		leave := make(map[int]float64, len(ins.Jobs))
+		for id, at := range out.Rejected {
+			leave[id] = at
+		}
+		for _, iv := range out.Intervals {
+			if at, ok := leave[iv.Job]; !ok || iv.Start < at {
+				leave[iv.Job] = iv.Start
+			}
+		}
+
+		queued := 0
+		lambda := make([]float64, tc.m)
+		for k := range ins.Jobs {
+			j := &ins.Jobs[k]
+			for i := range lambda {
+				pj := j.Proc[i]
+				before, after := pj, 0 // Σ_{ℓ⪯j} includes j itself
+				for _, l := range ins.Jobs[:k] {
+					if out.Assigned[l.ID] != i || leave[l.ID] < j.Release {
+						continue
+					}
+					queued++
+					pl := l.Proc[i]
+					if pl < pj || pl == pj && (l.Release < j.Release || l.Release == j.Release && l.ID < j.ID) {
+						before += pl
+					} else {
+						after++
+					}
+				}
+				lambda[i] = pj/tc.eps + before + float64(after)*pj
+			}
+			best := 0
+			for i := range lambda {
+				if lambda[i] < lambda[best] {
+					best = i
+				}
+			}
+			if got := out.Assigned[j.ID]; got != best {
+				t.Fatalf("instance %+v: job %d went to machine %d, brute-force argmin is %d (λ = %v)",
+					tc, j.ID, got, best, lambda)
+			}
+			want := tc.eps / (1 + tc.eps) * lambda[best]
+			if got := res.Dual.Lambda[j.ID]; math.Abs(got-want) > 1e-9*(1+want) {
+				t.Fatalf("instance %+v: λ_%d = %v, brute force %v", tc, j.ID, got, want)
+			}
+		}
+		if queued == 0 {
+			t.Fatalf("instance %+v: no arrival saw a pending job; the check is vacuous", tc)
 		}
 	}
 }

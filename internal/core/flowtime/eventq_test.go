@@ -19,7 +19,7 @@ func TestCalendarQueueMatchesHeap(t *testing.T) {
 		for _, opt := range []Options{
 			{Epsilon: 0.2},
 			{Epsilon: 0.2, TrackDual: true},
-			{Epsilon: 0.4, ParallelDispatch: 4},
+			{Epsilon: 0.4},
 		} {
 			heapOpt, calOpt := opt, opt
 			heapOpt.EventQueue = engine.EventQueueHeap

@@ -26,18 +26,15 @@
 // recording, end-of-run audit) live in internal/engine; this package is the
 // engine Policy carrying the three rules above. Run executes a batch
 // instance; Session (see session.go) streams jobs online with bit-identical
-// outcomes. Hot-path layout as before: per-job state lives in dense slices
-// indexed by the compact feed-order index, and the machine-selection argmin
-// is sharded across the internal/dispatch worker pool for wide instances
-// (Options.ParallelDispatch), with outputs bit-identical to the sequential
-// scan.
+// outcomes. Per-job state lives in dense slices indexed by the compact
+// feed-order index, and the machine-selection argmin is a plain sequential
+// scan with ties to the lowest machine index.
 package flowtime
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/dispatch"
 	"repro/internal/engine"
 	"repro/internal/ostree"
 	"repro/internal/sched"
@@ -56,10 +53,8 @@ type Options struct {
 	// TrackDual enables recording of λ_j, C̃_j and the β_i(t) step
 	// functions (small constant overhead per event).
 	TrackDual bool
-	// ParallelDispatch sets the number of workers sharding the arrival-time
-	// argmin_i λ_ij: 0 selects automatically (sequential below
-	// dispatch.DefaultThreshold machines), 1 forces sequential. The choice
-	// never changes the output (see internal/dispatch).
+	// Deprecated: ignored. The argmin_i λ_ij is always sequential; the
+	// field remains only so existing callers keep compiling.
 	ParallelDispatch int
 	// SizeHint preallocates per-job storage for a stream of about this many
 	// jobs (see engine.Options.SizeHint). Zero is valid — storage grows on
@@ -152,9 +147,6 @@ type policy struct {
 	snap   []float64
 	ctilde []float64
 	lambda []float64
-	pool   *dispatch.Pool
-	curJob *sched.Job        // job under dispatch, read by the argmin eval
-	evalFn func(int) float64 // evalCur bound once per run (a method value allocates)
 	r1, r2 int
 	// track mirrors opt.TrackDual: when false, the λ/C̃/occupancy dual
 	// bookkeeping — including the per-job C̃ exit events, a third of all
@@ -182,8 +174,6 @@ func newPolicy(opt Options, machines, hint int) *policy {
 	for i := range p.mach {
 		p.mach[i] = machine{pending: ostree.NewFlatHint(pendingHint(hint, machines))}
 	}
-	p.pool = dispatch.NewPool(dispatch.Workers(opt.ParallelDispatch, machines), machines)
-	p.evalFn = p.evalCur
 	return p
 }
 
@@ -204,11 +194,9 @@ func pendingHint(hint, machines int) int {
 
 func (p *policy) Bind(c *engine.Core) { p.c = c }
 
-func (p *policy) Close() { p.pool.Close() }
-
 // Reset returns the policy to its freshly-constructed state, retaining the
-// pending-index arenas and dual slices' capacity and reviving the dispatch
-// pool Close released (engine.ResettablePolicy; see Session recycling).
+// pending-index arenas and dual slices' capacity (engine.ResettablePolicy;
+// see Session recycling).
 func (p *policy) Reset() {
 	for i := range p.mach {
 		m := &p.mach[i]
@@ -222,11 +210,9 @@ func (p *policy) Reset() {
 	p.snap = p.snap[:0]
 	p.ctilde = p.ctilde[:0]
 	p.lambda = p.lambda[:0]
-	p.curJob = nil
 	// The previous Result (and the Outcome inside it) was handed to the
 	// caller at Close; the recycled run records into a fresh one.
 	p.res = &Result{}
-	p.pool = dispatch.NewPool(dispatch.Workers(p.opt.ParallelDispatch, len(p.mach)), len(p.mach))
 }
 
 func (p *policy) Audit() error {
@@ -255,25 +241,22 @@ func (p *policy) key(j *sched.Job, i int) ostree.Key {
 	return ostree.Key{P: j.Proc[i], Release: j.Release, ID: j.ID}
 }
 
-// lambdaFor evaluates λ_ij for a hypothetical dispatch of j to machine i. It
-// only reads per-machine state, so the dispatch pool may call it
-// concurrently for distinct machines.
+// lambdaFor evaluates λ_ij for a hypothetical dispatch of j to machine i.
 func (p *policy) lambdaFor(j *sched.Job, i int) float64 {
 	pp := j.Proc[i]
 	_, sumBefore, after := p.mach[i].pending.RankStats(p.key(j, i))
 	return pp/p.opt.Epsilon + (sumBefore + pp) + float64(after)*pp
 }
 
-// evalCur adapts lambdaFor to the dispatch pool's eval signature for the job
-// stashed in curJob; bound once per run as evalFn, since evaluating a
-// method value allocates.
-func (p *policy) evalCur(i int) float64 { return p.lambdaFor(p.curJob, i) }
-
 func (p *policy) OnArrival(t float64, jk int) {
 	j := p.c.Job(jk)
 	// Dispatch: argmin λ_ij, ties to the lowest machine index.
-	p.curJob = j
-	best, bestLambda := p.pool.ArgMin(p.evalFn)
+	best, bestLambda := 0, math.Inf(1)
+	for i := range p.mach {
+		if v := p.lambdaFor(j, i); v < bestLambda {
+			best, bestLambda = i, v
+		}
+	}
 	m := &p.mach[best]
 	p.c.Assign(jk, best)
 	p.res.Dispatches++

@@ -20,8 +20,8 @@ func TestSnapshotResumeMatchesRun(t *testing.T) {
 		for _, opt := range []Options{
 			{Epsilon: 0.2},
 			{Epsilon: 0.2, TrackDual: true},
-			{Epsilon: 0.4, TrackDual: true, ParallelDispatch: 4},
-			{Epsilon: 0.1, ParallelDispatch: 3},
+			{Epsilon: 0.4, TrackDual: true},
+			{Epsilon: 0.1},
 		} {
 			batch, err := Run(ins, opt)
 			if err != nil {

@@ -41,7 +41,6 @@ func newSession(machines int, opt Options, hint int) (*Session, error) {
 	}
 	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint, EventHint: eh, EventQueue: opt.EventQueue})
 	if err != nil {
-		p.Close()
 		return nil, err
 	}
 	return &Session{es: es, p: p}, nil
@@ -111,7 +110,6 @@ func Run(ins *sched.Instance, opt Options) (*Result, error) {
 		return nil, err
 	}
 	if err := s.FeedBatch(ins.Jobs); err != nil {
-		s.Close() // release the dispatch pool; the feed error wins
 		return nil, err
 	}
 	return s.Close()

@@ -27,7 +27,7 @@ func (p *policy) SnapshotTag() string { return "flowtime/v2" }
 // and leaf partition feed λ and must restore bit-exactly — and the Rule 1/2
 // counters, plus, under TrackDual, the dual bookkeeping (occupancy
 // integrals, breakpoint traces and the dense λ/C̃/snapshot slices). Arena
-// free lists and the dispatch pool are performance-only and rebuilt on load.
+// free lists are performance-only and rebuilt on load.
 func (p *policy) SaveState(e *snapshot.Encoder) {
 	e.F64(p.opt.Epsilon)
 	e.Bool(p.opt.DisableRule1)
@@ -149,7 +149,7 @@ func (s *Session) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
 // Restore reconstructs a streaming session from a snapshot written by
 // Session.Snapshot. opt must carry the same semantic configuration the donor
 // ran with (Epsilon, rule switches, TrackDual) — a mismatch is detected from
-// the snapshot's option echo and fails loudly; ParallelDispatch is
+// the snapshot's option echo and fails loudly; SizeHint and EventQueue are
 // performance-only and may differ. The machine count comes from the
 // snapshot itself.
 func Restore(r io.Reader, opt Options) (*Session, error) {

@@ -60,15 +60,15 @@ func equivInstances(t *testing.T) []*sched.Instance {
 // TestSessionMatchesRun is the streaming equivalence golden test: a Session
 // fed one job at a time must produce an Outcome (intervals, completions,
 // rejections, assignments) and rule counters bit-identical to the batch Run,
-// with and without dual tracking and parallel dispatch, with and without
+// with and without dual tracking, across several ε, with and without
 // interleaved AdvanceTo calls.
 func TestSessionMatchesRun(t *testing.T) {
 	for n, ins := range equivInstances(t) {
 		for _, opt := range []Options{
 			{Epsilon: 0.2},
 			{Epsilon: 0.2, TrackDual: true},
-			{Epsilon: 0.4, TrackDual: true, ParallelDispatch: 4},
-			{Epsilon: 0.1, ParallelDispatch: 3},
+			{Epsilon: 0.4, TrackDual: true},
+			{Epsilon: 0.1},
 		} {
 			batch, err := Run(ins, opt)
 			if err != nil {
@@ -107,8 +107,8 @@ func TestFeedBatchMatchesRun(t *testing.T) {
 		for _, opt := range []Options{
 			{Epsilon: 0.2},
 			{Epsilon: 0.2, TrackDual: true},
-			{Epsilon: 0.4, TrackDual: true, ParallelDispatch: 4},
-			{Epsilon: 0.1, ParallelDispatch: 3},
+			{Epsilon: 0.4, TrackDual: true},
+			{Epsilon: 0.1},
 		} {
 			batch, err := Run(ins, opt)
 			if err != nil {

@@ -42,7 +42,7 @@ func TestSnapshotResumeMatchesRun(t *testing.T) {
 		for _, opt := range []Options{
 			{Epsilon: 0.3, Alpha: ins.Alpha},
 			{Epsilon: 0.3, Alpha: ins.Alpha, TrackDual: true},
-			{Epsilon: 0.15, Alpha: ins.Alpha, Gamma: 0.5, ParallelDispatch: 3},
+			{Epsilon: 0.15, Alpha: ins.Alpha, Gamma: 0.5},
 		} {
 			batch, err := Run(ins, opt)
 			if err != nil {

@@ -48,7 +48,6 @@ func newSession(machines int, opt Options, hint int) (*Session, error) {
 	p := newPolicy(opt, opt.Alpha, gamma, machines, hint)
 	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint, EventQueue: opt.EventQueue})
 	if err != nil {
-		p.Close()
 		return nil, err
 	}
 	return &Session{es: es, p: p}, nil
@@ -115,7 +114,6 @@ func Run(ins *sched.Instance, opt Options) (*Result, error) {
 		return nil, err
 	}
 	if err := s.FeedBatch(ins.Jobs); err != nil {
-		s.Close() // release the dispatch pool; the feed error wins
 		return nil, err
 	}
 	return s.Close()

@@ -36,7 +36,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/dispatch"
 	"repro/internal/engine"
 	"repro/internal/sched"
 )
@@ -53,10 +52,6 @@ type Options struct {
 	Gamma float64
 	// TrackDual records per-job execution info for the Lemma 6 audit.
 	TrackDual bool
-	// ParallelDispatch sets the number of workers sharding the arrival-time
-	// argmin_i λ_ij; 0 selects automatically, 1 forces sequential. The
-	// choice never changes the output (see internal/dispatch).
-	ParallelDispatch int
 	// SizeHint preallocates per-job storage for a stream of about this many
 	// jobs (see engine.Options.SizeHint). Zero is valid — storage grows on
 	// demand — and the hint never changes outcomes. Batch Run overrides it
@@ -147,12 +142,8 @@ type spolicy struct {
 	// accumulator, indexed by compact job index. Like the accumulators it
 	// snapshots, it only exists under TrackDual: its sole consumers are the
 	// dual report's definitive-finish times.
-	snap   []float64
-	pool   *dispatch.Pool
-	curJob *sched.Job        // job under dispatch, read by the argmin eval
-	curIdx int               // compact index of curJob
-	evalFn func(int) float64 // evalCur bound once per run (a method value allocates)
-	dual   *DualReport
+	snap []float64
+	dual *DualReport
 }
 
 func newPolicy(opt Options, alpha, gamma float64, machines, hint int) *spolicy {
@@ -163,18 +154,13 @@ func newPolicy(opt Options, alpha, gamma float64, machines, hint int) *spolicy {
 		p.dual = newDualReport(opt.Epsilon, alpha, gamma, hint)
 	}
 	p.mach = make([]smachine, machines)
-	p.pool = dispatch.NewPool(dispatch.Workers(opt.ParallelDispatch, machines), machines)
-	p.evalFn = p.evalCur
 	return p
 }
 
 func (p *spolicy) Bind(c *engine.Core) { p.c = c }
 
-func (p *spolicy) Close() { p.pool.Close() }
-
 // Reset returns the policy to its freshly-constructed state, retaining the
-// pending slices' capacity and reviving the dispatch pool Close released
-// (engine.ResettablePolicy; see Session recycling).
+// pending slices' capacity (engine.ResettablePolicy; see Session recycling).
 func (p *spolicy) Reset() {
 	for i := range p.mach {
 		m := &p.mach[i]
@@ -183,13 +169,11 @@ func (p *spolicy) Reset() {
 		m.remTimeAcc = 0
 	}
 	p.snap = p.snap[:0]
-	p.curJob, p.curIdx = nil, 0
 	// The previous Result (and DualReport) was handed to the caller at Close.
 	p.res = &Result{Gamma: p.gamma, Alpha: p.alpha}
 	if p.opt.TrackDual {
 		p.dual = newDualReport(p.opt.Epsilon, p.alpha, p.gamma, cap(p.snap))
 	}
-	p.pool = dispatch.NewPool(dispatch.Workers(p.opt.ParallelDispatch, len(p.mach)), len(p.mach))
 }
 
 func (p *spolicy) Audit() error {
@@ -203,7 +187,6 @@ func (p *spolicy) Audit() error {
 
 // lambdaFor evaluates λ_ij for a hypothetical dispatch of job jk to machine
 // i. One backwards pass accumulates the suffix weights W_ℓ = Σ_{ℓ'⪰ℓ} w_ℓ'.
-// Read-only, safe for concurrent machine shards.
 func (p *spolicy) lambdaFor(j *sched.Job, jk, i int) float64 {
 	m := &p.mach[i]
 	pp, w := j.Proc[i], j.Weight
@@ -241,15 +224,15 @@ func (p *spolicy) lambdaFor(j *sched.Job, jk, i int) float64 {
 	return w*(pp/p.opt.Epsilon+sumPrefTime) + sumAfterW*pp/(p.gamma*math.Pow(wj, 1/p.alpha))
 }
 
-// evalCur adapts lambdaFor to the dispatch pool's eval signature for the job
-// stashed in curJob; bound once per run as evalFn, since evaluating a
-// method value allocates.
-func (p *spolicy) evalCur(i int) float64 { return p.lambdaFor(p.curJob, p.curIdx, i) }
-
 func (p *spolicy) OnArrival(t float64, jk int) {
 	j := p.c.Job(jk)
-	p.curJob, p.curIdx = j, jk
-	best, bestLambda := p.pool.ArgMin(p.evalFn)
+	// Dispatch: argmin λ_ij, ties to the lowest machine index.
+	best, bestLambda := 0, math.Inf(1)
+	for i := range p.mach {
+		if v := p.lambdaFor(j, jk, i); v < bestLambda {
+			best, bestLambda = i, v
+		}
+	}
 	m := &p.mach[best]
 	p.c.Assign(jk, best)
 	if p.dual != nil {

@@ -10,7 +10,7 @@ import (
 
 // TestSessionMatchesRun pins streaming/batch equivalence for the §3
 // algorithm: identical outcomes (including speeds), rejection counters and
-// dual records, with and without dual tracking and parallel dispatch, with
+// dual records, with and without dual tracking, across several ε, with
 // and without interleaved AdvanceTo calls. Sessions need an explicit Alpha;
 // the batch run uses the same value so both resolve identical γ.
 func TestSessionMatchesRun(t *testing.T) {
@@ -37,7 +37,7 @@ func TestSessionMatchesRun(t *testing.T) {
 		for _, opt := range []Options{
 			{Epsilon: 0.3, Alpha: ins.Alpha},
 			{Epsilon: 0.3, Alpha: ins.Alpha, TrackDual: true},
-			{Epsilon: 0.15, Alpha: ins.Alpha, ParallelDispatch: 4},
+			{Epsilon: 0.15, Alpha: ins.Alpha},
 		} {
 			batch, err := Run(ins, opt)
 			if err != nil {

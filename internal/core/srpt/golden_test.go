@@ -137,25 +137,22 @@ func goldenInstances() []*sched.Instance {
 	return out
 }
 
-// TestGoldenEquivalenceWithLegacyLoop pins the engine migration: across the
-// 18-config matrix (9 instances × sequential/parallel dispatch) the
-// engine-hosted policy must produce sched.Outcomes bit-identical to the
-// legacy private event loop — same intervals in the same order, same
-// completion, rejection and assignment maps.
+// TestGoldenEquivalenceWithLegacyLoop pins the engine migration: on all 9
+// golden instances the engine-hosted policy must produce sched.Outcomes
+// bit-identical to the legacy private event loop — same intervals in the
+// same order, same completion, rejection and assignment maps.
 func TestGoldenEquivalenceWithLegacyLoop(t *testing.T) {
 	for n, ins := range goldenInstances() {
 		want, err := legacyPreemptiveSRPT(ins)
 		if err != nil {
 			t.Fatalf("instance %d: legacy: %v", n, err)
 		}
-		for _, workers := range []int{1, 4} {
-			res, err := Run(ins, Options{ParallelDispatch: workers})
-			if err != nil {
-				t.Fatalf("instance %d workers %d: %v", n, workers, err)
-			}
-			if !reflect.DeepEqual(want, res.Outcome) {
-				t.Fatalf("instance %d workers %d: engine-hosted SRPT diverges from the legacy loop", n, workers)
-			}
+		res, err := Run(ins, Options{})
+		if err != nil {
+			t.Fatalf("instance %d: %v", n, err)
+		}
+		if !reflect.DeepEqual(want, res.Outcome) {
+			t.Fatalf("instance %d: engine-hosted SRPT diverges from the legacy loop", n)
 		}
 	}
 }

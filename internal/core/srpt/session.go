@@ -31,10 +31,9 @@ func newSession(machines int, opt Options, hint int) (*Session, error) {
 	if hint < 0 {
 		hint = 0
 	}
-	p := newPolicy(opt, machines)
+	p := newPolicy(machines)
 	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint, EventQueue: opt.EventQueue})
 	if err != nil {
-		p.Close()
 		return nil, err
 	}
 	return &Session{es: es, p: p}, nil
@@ -97,7 +96,6 @@ func Run(ins *sched.Instance, opt Options) (*Result, error) {
 		return nil, err
 	}
 	if err := s.FeedBatch(ins.Jobs); err != nil {
-		s.Close() // release the dispatch pool; the feed error wins
 		return nil, err
 	}
 	return s.Close()
@@ -189,7 +187,6 @@ func RunWeighted(ins *sched.Instance, opt WeightedOptions) (*WeightedResult, err
 		return nil, err
 	}
 	if err := s.FeedBatch(ins.Jobs); err != nil {
-		s.Close()
 		return nil, err
 	}
 	return s.Close()

@@ -74,11 +74,11 @@ func (s *Session) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
 
 // Restore reconstructs a streaming per-machine SRPT session from a snapshot
 // written by Session.Snapshot. The machine count comes from the snapshot;
-// opt.ParallelDispatch is performance-only and may differ from the donor's.
+// opt.EventQueue is performance-only and may differ from the donor's.
 func Restore(r io.Reader, opt Options) (*Session, error) {
 	var p *policy
 	es, err := engine.RestoreOpts(r, engine.Options{EventQueue: opt.EventQueue}, func(machines int) (engine.Policy, error) {
-		p = newPolicy(opt, machines)
+		p = newPolicy(machines)
 		return p, nil
 	})
 	if err != nil {

@@ -16,9 +16,7 @@
 //
 //   - Dispatching: at the arrival of job j, dispatch to the machine
 //     minimizing its remaining backlog plus p_ij (frozen waiting volumes,
-//     the running job's true remainder), ties to the lowest index. The
-//     argmin shards across the internal/dispatch pool like the λ-dispatch
-//     schedulers.
+//     the running job's true remainder), ties to the lowest index.
 //   - Scheduling: each machine runs SRPT — a shorter arrival preempts the
 //     running job (engine Preempt), whose remainder is banked in the
 //     per-machine waiting treap; whenever a machine idles it resumes the
@@ -32,8 +30,8 @@ package srpt
 
 import (
 	"fmt"
+	"math"
 
-	"repro/internal/dispatch"
 	"repro/internal/engine"
 	"repro/internal/ostree"
 	"repro/internal/sched"
@@ -41,11 +39,6 @@ import (
 
 // Options configures a run.
 type Options struct {
-	// ParallelDispatch sets the number of workers sharding the arrival-time
-	// least-backlog argmin: 0 selects automatically (sequential below
-	// dispatch.DefaultThreshold machines), 1 forces sequential. The choice
-	// never changes the output (see internal/dispatch).
-	ParallelDispatch int
 	// SizeHint preallocates per-job storage for a stream of about this many
 	// jobs (see engine.Options.SizeHint). Zero is valid — storage grows on
 	// demand — and the hint never changes outcomes. Batch Run overrides it
@@ -71,30 +64,21 @@ type machine struct {
 
 // policy implements engine.Policy with per-machine preemptive SRPT.
 type policy struct {
-	c      *engine.Core
-	opt    Options
-	res    *Result
-	mach   []machine
-	pool   *dispatch.Pool
-	curJob *sched.Job        // job under dispatch, read by the argmin eval
-	curT   float64           // arrival instant of curJob
-	evalFn func(int) float64 // evalCur bound once per run (a method value allocates)
+	c    *engine.Core
+	res  *Result
+	mach []machine
 }
 
-func newPolicy(opt Options, machines int) *policy {
-	p := &policy{opt: opt, res: &Result{}}
+func newPolicy(machines int) *policy {
+	p := &policy{res: &Result{}}
 	p.mach = make([]machine, machines)
 	for i := range p.mach {
 		p.mach[i] = machine{waiting: ostree.New(uint64(0x5e11) + uint64(i))}
 	}
-	p.pool = dispatch.NewPool(dispatch.Workers(opt.ParallelDispatch, machines), machines)
-	p.evalFn = p.evalCur
 	return p
 }
 
 func (p *policy) Bind(c *engine.Core) { p.c = c }
-
-func (p *policy) Close() { p.pool.Close() }
 
 // Reset returns the policy to its freshly-constructed state: each waiting
 // treap empties into its node arena and reseeds with its original per-machine
@@ -104,9 +88,7 @@ func (p *policy) Reset() {
 	for i := range p.mach {
 		p.mach[i].waiting.Reset(uint64(0x5e11) + uint64(i))
 	}
-	p.curJob, p.curT = nil, 0
 	p.res = &Result{} // the previous Result was handed to the caller at Close
-	p.pool = dispatch.NewPool(dispatch.Workers(p.opt.ParallelDispatch, len(p.mach)), len(p.mach))
 }
 
 func (p *policy) Audit() error {
@@ -119,27 +101,26 @@ func (p *policy) Audit() error {
 }
 
 // costFor evaluates the dispatch cost of a hypothetical assignment of j to
-// machine i: the frozen waiting backlog, j's own processing time, and the
-// running job's true remainder. Read-only, safe for concurrent machine
-// shards.
-func (p *policy) costFor(j *sched.Job, i int) float64 {
+// machine i at time t: the frozen waiting backlog, j's own processing time,
+// and the running job's true remainder.
+func (p *policy) costFor(j *sched.Job, t float64, i int) float64 {
 	cost := p.mach[i].waiting.SumP() + j.Proc[i]
 	ms := p.c.Machine(i)
 	if !ms.Idle() {
-		cost += ms.RunVol - (p.curT - ms.RunStart)
+		cost += ms.RunVol - (t - ms.RunStart)
 	}
 	return cost
 }
 
-// evalCur adapts costFor to the dispatch pool's eval signature for the job
-// stashed in curJob; bound once per run as evalFn, since evaluating a
-// method value allocates.
-func (p *policy) evalCur(i int) float64 { return p.costFor(p.curJob, i) }
-
 func (p *policy) OnArrival(t float64, jk int) {
 	j := p.c.Job(jk)
-	p.curJob, p.curT = j, t
-	best, _ := p.pool.ArgMin(p.evalFn)
+	// Dispatch: least backlog, ties to the lowest machine index.
+	best, bestCost := 0, math.Inf(1)
+	for i := range p.mach {
+		if v := p.costFor(j, t, i); v < bestCost {
+			best, bestCost = i, v
+		}
+	}
 	p.c.Assign(jk, best)
 	m := &p.mach[best]
 	ms := p.c.Machine(best)

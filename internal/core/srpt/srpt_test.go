@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/lowerbound"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -78,11 +79,11 @@ func TestSRPTSingleMachineMatchesBound(t *testing.T) {
 }
 
 // TestSRPTSessionMatchesRun is the streaming equivalence golden test: a
-// Session fed one job at a time must match the batch Run bit for bit, with
-// and without parallel dispatch and interleaved AdvanceTo calls.
+// Session fed one job at a time must match the batch Run bit for bit, under
+// either event queue, with and without interleaved AdvanceTo calls.
 func TestSRPTSessionMatchesRun(t *testing.T) {
 	for n, ins := range goldenInstances() {
-		for _, opt := range []Options{{}, {ParallelDispatch: 4}} {
+		for _, opt := range []Options{{}, {EventQueue: engine.EventQueueCalendar}} {
 			batch, err := Run(ins, opt)
 			if err != nil {
 				t.Fatalf("instance %d: batch: %v", n, err)

@@ -72,8 +72,6 @@ func newWPolicy() *wpolicy {
 
 func (p *wpolicy) Bind(c *engine.Core) { p.c = c }
 
-func (p *wpolicy) Close() {}
-
 // Reset returns the policy to its freshly-constructed state: the global
 // density pool empties into its node arena and reseeds with the original
 // seed, and the dense per-job slices truncate in place

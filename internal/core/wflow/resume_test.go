@@ -38,7 +38,7 @@ func TestSnapshotResumeMatchesRun(t *testing.T) {
 	for n, ins := range resumeInstances() {
 		for _, opt := range []Options{
 			{Epsilon: 0.2},
-			{Epsilon: 0.4, ParallelDispatch: 4},
+			{Epsilon: 0.4},
 		} {
 			batch, err := Run(ins, opt)
 			if err != nil {

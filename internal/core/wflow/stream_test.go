@@ -10,8 +10,8 @@ import (
 
 // TestSessionMatchesRun pins streaming/batch equivalence for the weighted
 // extension: identical outcomes, rule counters and rejected weight, across
-// random, bursty-tie-heavy and weighted workloads, with and without
-// parallel dispatch and interleaved AdvanceTo calls.
+// random, bursty-tie-heavy and weighted workloads, at two ε, with and
+// without interleaved AdvanceTo calls.
 func TestSessionMatchesRun(t *testing.T) {
 	var instances []*sched.Instance
 	for seed := int64(0); seed < 4; seed++ {
@@ -31,7 +31,7 @@ func TestSessionMatchesRun(t *testing.T) {
 	for n, ins := range instances {
 		for _, opt := range []Options{
 			{Epsilon: 0.2},
-			{Epsilon: 0.35, ParallelDispatch: 4},
+			{Epsilon: 0.35},
 		} {
 			batch, err := Run(ins, opt)
 			if err != nil {

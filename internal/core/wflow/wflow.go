@@ -29,14 +29,13 @@
 // streaming (Session) form with bit-identical outcomes. The density index
 // (a cache-resident ostree.Flat) carries (p, w) as its auxiliary value
 // pair, so one rank query yields both prefix aggregates of λ_ij; the
-// machine argmin shards across internal/dispatch like the unweighted
-// scheduler.
+// machine argmin is the same sequential scan as the unweighted scheduler's.
 package wflow
 
 import (
 	"fmt"
+	"math"
 
-	"repro/internal/dispatch"
 	"repro/internal/engine"
 	"repro/internal/ostree"
 	"repro/internal/sched"
@@ -46,10 +45,6 @@ import (
 type Options struct {
 	// Epsilon ∈ (0,1): the rejected weight budget is 2ε·W.
 	Epsilon float64
-	// ParallelDispatch sets the number of workers sharding the arrival-time
-	// argmin_i λ_ij; 0 selects automatically, 1 forces sequential. The
-	// choice never changes the output (see internal/dispatch).
-	ParallelDispatch int
 	// SizeHint preallocates per-job storage for a stream of about this many
 	// jobs (see engine.Options.SizeHint). Zero is valid — storage grows on
 	// demand — and the hint never changes outcomes. Batch Run overrides it
@@ -86,13 +81,10 @@ type wmachine struct {
 
 // wpolicy implements engine.Policy with the weighted rules.
 type wpolicy struct {
-	c      *engine.Core
-	opt    Options
-	res    *Result
-	mach   []wmachine
-	pool   *dispatch.Pool
-	curJob *sched.Job        // job under dispatch, read by the argmin eval
-	evalFn func(int) float64 // evalCur bound once per run (a method value allocates)
+	c    *engine.Core
+	opt  Options
+	res  *Result
+	mach []wmachine
 }
 
 func newPolicy(opt Options, machines, hint int) *wpolicy {
@@ -104,8 +96,6 @@ func newPolicy(opt Options, machines, hint int) *wpolicy {
 			byProc:  ostree.NewFlatHint(pendingHint(hint, machines)),
 		}
 	}
-	p.pool = dispatch.NewPool(dispatch.Workers(opt.ParallelDispatch, machines), machines)
-	p.evalFn = p.evalCur
 	return p
 }
 
@@ -125,11 +115,8 @@ func pendingHint(hint, machines int) int {
 
 func (p *wpolicy) Bind(c *engine.Core) { p.c = c }
 
-func (p *wpolicy) Close() { p.pool.Close() }
-
 // Reset returns the policy to its freshly-constructed state, retaining both
-// pending indexes' arenas and reviving the dispatch pool Close released
-// (engine.ResettablePolicy; see Session recycling).
+// pending indexes' arenas (engine.ResettablePolicy; see Session recycling).
 func (p *wpolicy) Reset() {
 	for i := range p.mach {
 		m := &p.mach[i]
@@ -137,9 +124,7 @@ func (p *wpolicy) Reset() {
 		m.byProc.Reset()
 		m.victimW, m.counterW = 0, 0
 	}
-	p.curJob = nil
 	p.res = &Result{} // the previous Result was handed to the caller at Close
-	p.pool = dispatch.NewPool(dispatch.Workers(p.opt.ParallelDispatch, len(p.mach)), len(p.mach))
 }
 
 func (p *wpolicy) Audit() error {
@@ -163,7 +148,7 @@ func (p *wpolicy) procKey(j *sched.Job, i int) ostree.Key {
 // machine i. The density index aggregates (p, w) alongside its keys, so the
 // prefix processing time Σ_{ℓ⪯j} p_iℓ and prefix weight both come from a
 // single rank query; the suffix weight is the complement against the
-// machine's pending total. Read-only, safe for concurrent machine shards.
+// machine's pending total.
 func (p *wpolicy) lambdaFor(j *sched.Job, i int) float64 {
 	m := &p.mach[i]
 	pp, w := j.Proc[i], j.Weight
@@ -172,11 +157,6 @@ func (p *wpolicy) lambdaFor(j *sched.Job, i int) float64 {
 	wAfter := totW - wBefore
 	return w*pp/p.opt.Epsilon + w*(sumPBefore+pp) + pp*wAfter
 }
-
-// evalCur adapts lambdaFor to the dispatch pool's eval signature for the job
-// stashed in curJob; bound once per run as evalFn, since evaluating a
-// method value allocates.
-func (p *wpolicy) evalCur(i int) float64 { return p.lambdaFor(p.curJob, i) }
 
 func (p *wpolicy) insertPending(j *sched.Job, i int) {
 	m := &p.mach[i]
@@ -192,8 +172,13 @@ func (p *wpolicy) removePending(j *sched.Job, i int) {
 
 func (p *wpolicy) OnArrival(t float64, jk int) {
 	j := p.c.Job(jk)
-	p.curJob = j
-	best, _ := p.pool.ArgMin(p.evalFn)
+	// Dispatch: argmin λ_ij, ties to the lowest machine index.
+	best, bestLambda := 0, math.Inf(1)
+	for i := range p.mach {
+		if v := p.lambdaFor(j, i); v < bestLambda {
+			best, bestLambda = i, v
+		}
+	}
 	m := &p.mach[best]
 	p.c.Assign(jk, best)
 	p.insertPending(j, best)

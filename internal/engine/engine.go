@@ -51,9 +51,8 @@ import (
 // Policy supplies the algorithmic decisions of one online scheduler. The
 // engine invokes the hooks from its event loop; the policy reacts by calling
 // the Core primitives (Start, Preempt, RejectRunning, RejectPending, Assign,
-// Bookkeep). All hooks run on the session's goroutine — policies need no
-// internal locking, but their dispatch evaluations may shard across
-// internal/dispatch workers as before.
+// Bookkeep). All hooks run on the session's goroutine, so policies need no
+// internal locking.
 type Policy interface {
 	// Bind attaches the policy to the engine core. It is called exactly
 	// once, before any event fires.
@@ -76,9 +75,6 @@ type Policy interface {
 	// Audit checks policy invariants at the end of a run (after the event
 	// queue drains), complementing the engine's own sanity audit.
 	Audit() error
-	// Close releases policy resources (dispatch worker pools). The engine
-	// calls it exactly once, from Session.Close.
-	Close()
 }
 
 // MachineState is the engine-owned run state of one machine. Policies read

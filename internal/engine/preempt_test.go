@@ -54,7 +54,6 @@ func (p *preemptResume) OnIdle(t float64, i int) {
 func (p *preemptResume) OnCompletion(t float64, i, jk int)  {}
 func (p *preemptResume) OnBookkeeping(t float64, i, jk int) {}
 func (p *preemptResume) Audit() error                       { return nil }
-func (p *preemptResume) Close()                             {}
 
 func runPreemptResume(t *testing.T, pol *preemptResume, machines int, jobs []sched.Job) (*sched.Outcome, error) {
 	t.Helper()

@@ -31,7 +31,7 @@ type Session struct {
 
 // NewSession starts a streaming run of the given policy. The policy must be
 // freshly constructed for this session; it is bound to the engine core
-// before the first event and closed exactly once by Session.Close.
+// before the first event.
 func NewSession(pol Policy, opt Options) (*Session, error) {
 	if opt.Machines <= 0 {
 		return nil, fmt.Errorf("engine: session needs at least one machine, got %d", opt.Machines)
@@ -46,9 +46,8 @@ func NewSession(pol Policy, opt Options) (*Session, error) {
 
 // ResettablePolicy is the recycling hook of a Policy: Reset must return the
 // policy to its freshly-constructed, already-Bound state — every decision
-// counter, accumulator and index emptied, every arena retained — and revive
-// any resources Close released (dispatch pools). All five scheduling
-// policies of internal/core implement it.
+// counter, accumulator and index emptied, every arena retained. All five
+// scheduling policies of internal/core implement it.
 type ResettablePolicy interface {
 	Policy
 	Reset()
@@ -250,9 +249,9 @@ func (s *Session) EachFed(f func(j *sched.Job)) {
 }
 
 // Close ends the stream: the remaining events drain (every fed job runs to
-// completion or rejection), the policy releases its resources, and both the
-// policy and engine invariants are audited. The outcome records exactly
-// what the online run did, in the same form as a batch run.
+// completion or rejection), and both the policy and engine invariants are
+// audited. The outcome records exactly what the online run did, in the same
+// form as a batch run.
 func (s *Session) Close() (*sched.Outcome, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -260,7 +259,6 @@ func (s *Session) Close() (*sched.Outcome, error) {
 	s.closed = true
 	c := &s.core
 	s.drain(math.Inf(1))
-	c.pol.Close()
 	if err := c.pol.Audit(); err != nil {
 		return nil, err
 	}

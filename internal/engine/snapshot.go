@@ -147,8 +147,8 @@ func snapshotOutcome(e *snapshot.Encoder, c *Core) {
 // Restore reconstructs a streaming session from a snapshot written by
 // Session.Snapshot. newPolicy is called once with the snapshot's machine
 // count and must return a freshly constructed policy configured exactly as
-// the donor's was (same options; performance-only knobs like dispatch
-// parallelism may differ) — the policy section's tag and option echoes are
+// the donor's was (same options; performance-only knobs like the size hint
+// may differ) — the policy section's tag and option echoes are
 // cross-checked and a mismatch fails loudly rather than resuming into a
 // subtly different run.
 //
@@ -201,7 +201,6 @@ func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy,
 	}
 	sp, ok := pol.(StatefulPolicy)
 	if !ok {
-		pol.Close()
 		return nil, fmt.Errorf("engine: policy %T does not implement StatefulPolicy; snapshot cannot be restored into it", pol)
 	}
 	s := &Session{last: last, floor: floor}
@@ -209,13 +208,11 @@ func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy,
 		Machines: machines, SizeHint: int(njobs),
 		EventHint: opt.EventHint, EventQueue: opt.EventQueue,
 	}); err != nil {
-		pol.Close()
 		return nil, err
 	}
 	c := &s.core
 	c.seq = int32(coreSeq)
 	if err := restoreInto(sr, s, sp); err != nil {
-		pol.Close()
 		return nil, err
 	}
 	return s, nil

@@ -43,22 +43,22 @@ const servePolicies = "flowtime|wflow|speedscale|srpt|wsrpt"
 // sessionKey is the pool key of a session shape: every construction
 // parameter that could change outcomes (policy, machine count, ε, α, event
 // queue) is folded in, so a pooled session can only ever be recycled into a
-// server whose runs it is bit-identical for. Size hints and dispatch
-// parallelism are performance-only and deliberately excluded.
+// server whose runs it is bit-identical for. Size hints are
+// performance-only and deliberately excluded.
 func sessionKey(policy string, machines int, eps, alpha float64, eventQueue string) string {
 	return fmt.Sprintf("%s/m=%d/eps=%g/alpha=%g/q=%s", policy, machines, eps, alpha, eventQueue)
 }
 
 // buildSession constructs (restore == nil) or restores (restore != nil) one
-// shard's scheduler session. Dispatch runs sequentially inside each session:
-// the shard fleet is the parallelism. sizeHint preallocates per-job storage
+// shard's scheduler session. The shard fleet is the parallelism; each
+// session runs on one goroutine. sizeHint preallocates per-job storage
 // for a stream of about that many jobs (0 grows on demand); restores ignore
 // it — a restored session sizes itself from the snapshot. eventQueue selects
 // the engine's event-queue implementation (performance-only; "" is the heap).
 func buildSession(policy string, machines int, eps, alpha float64, sizeHint int, eventQueue string, restore io.Reader) (*policySession, error) {
 	switch policy {
 	case "flowtime":
-		opt := flowtime.Options{Epsilon: eps, ParallelDispatch: 1, SizeHint: sizeHint, EventQueue: eventQueue}
+		opt := flowtime.Options{Epsilon: eps, SizeHint: sizeHint, EventQueue: eventQueue}
 		var s *flowtime.Session
 		var err error
 		if restore != nil {
@@ -77,7 +77,7 @@ func buildSession(policy string, machines int, eps, alpha float64, sizeHint int,
 			return res.Outcome, nil
 		}}, nil
 	case "wflow":
-		opt := wflow.Options{Epsilon: eps, ParallelDispatch: 1, SizeHint: sizeHint, EventQueue: eventQueue}
+		opt := wflow.Options{Epsilon: eps, SizeHint: sizeHint, EventQueue: eventQueue}
 		var s *wflow.Session
 		var err error
 		if restore != nil {
@@ -96,7 +96,7 @@ func buildSession(policy string, machines int, eps, alpha float64, sizeHint int,
 			return res.Outcome, nil
 		}}, nil
 	case "speedscale":
-		opt := speedscale.Options{Epsilon: eps, Alpha: alpha, ParallelDispatch: 1, SizeHint: sizeHint, EventQueue: eventQueue}
+		opt := speedscale.Options{Epsilon: eps, Alpha: alpha, SizeHint: sizeHint, EventQueue: eventQueue}
 		var s *speedscale.Session
 		var err error
 		if restore != nil {
@@ -115,7 +115,7 @@ func buildSession(policy string, machines int, eps, alpha float64, sizeHint int,
 			return res.Outcome, nil
 		}}, nil
 	case "srpt":
-		opt := srpt.Options{ParallelDispatch: 1, SizeHint: sizeHint, EventQueue: eventQueue}
+		opt := srpt.Options{SizeHint: sizeHint, EventQueue: eventQueue}
 		var s *srpt.Session
 		var err error
 		if restore != nil {
