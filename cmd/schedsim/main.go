@@ -81,7 +81,6 @@ func main() {
 		eps      = flag.Float64("eps", 0.2, "rejection parameter ε")
 		alpha    = flag.Float64("alpha", 0, "power exponent override (0: use trace)")
 		epsS     = flag.Float64("epsS", 0.2, "speed augmentation (speedaug)")
-		eventq   = flag.String("eventq", "", "engine event-queue implementation for the session-backed policies: heap|calendar (empty: heap; performance-only)")
 		stream   = flag.Bool("stream", false, "consume an NDJSON trace incrementally (file or stdin)")
 		batch    = flag.Int("batch", 256, "stream ingestion batch size (1: per-job Feed path)")
 		ckpt     = flag.String("checkpoint", "", "stream mode: write session snapshots to this file")
@@ -125,7 +124,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "schedsim: -checkpoint-every/-checkpoint-deltas/-checkpoint-keep/-stop-after need -checkpoint FILE")
 			os.Exit(2)
 		}
-		runStream(*policy, *eps, *alpha, *batch, *eventq, flag.Arg(0), *dump, *progress,
+		runStream(*policy, *eps, *alpha, *batch, flag.Arg(0), *dump, *progress,
 			streamCheckpoints{File: *ckpt, Every: *ckptN, Deltas: *ckptD, Keep: *ckptK, StopAfter: *stopN, Resume: *resume})
 		return
 	}
@@ -146,27 +145,27 @@ func main() {
 	mode := sched.ValidateMode{}
 	switch *policy {
 	case "flowtime":
-		res, err := flowtime.Run(ins, flowtime.Options{Epsilon: *eps, EventQueue: *eventq})
+		res, err := flowtime.Run(ins, flowtime.Options{Epsilon: *eps})
 		if err != nil {
 			fatal(err)
 		}
 		out = res.Outcome
 		mode.RequireUnitSpeed = true
 	case "wflow":
-		res, err := wflow.Run(ins, wflow.Options{Epsilon: *eps, EventQueue: *eventq})
+		res, err := wflow.Run(ins, wflow.Options{Epsilon: *eps})
 		if err != nil {
 			fatal(err)
 		}
 		out = res.Outcome
 		mode.RequireUnitSpeed = true
 	case "speedscale":
-		res, err := speedscale.Run(ins, speedscale.Options{Epsilon: *eps, Alpha: *alpha, EventQueue: *eventq})
+		res, err := speedscale.Run(ins, speedscale.Options{Epsilon: *eps, Alpha: *alpha})
 		if err != nil {
 			fatal(err)
 		}
 		out = res.Outcome
 	case "srpt":
-		res, err := srpt.Run(ins, srpt.Options{EventQueue: *eventq})
+		res, err := srpt.Run(ins, srpt.Options{})
 		if err != nil {
 			fatal(err)
 		}
@@ -174,7 +173,7 @@ func main() {
 		mode.AllowPreemption = true
 		mode.RequireUnitSpeed = true
 	case "wsrpt":
-		res, err := srpt.RunWeighted(ins, srpt.WeightedOptions{EventQueue: *eventq})
+		res, err := srpt.RunWeighted(ins, srpt.WeightedOptions{})
 		if err != nil {
 			fatal(err)
 		}
@@ -343,7 +342,7 @@ func streamProgress(reg *obs.Registry, every time.Duration, stop <-chan struct{}
 	}
 }
 
-func runStream(policy string, eps, alpha float64, batch int, eventq, path, dump string, progress time.Duration, ck streamCheckpoints) {
+func runStream(policy string, eps, alpha float64, batch int, path, dump string, progress time.Duration, ck streamCheckpoints) {
 	in := io.Reader(os.Stdin)
 	name := "stdin"
 	if path != "" && path != "-" {
@@ -387,7 +386,7 @@ func runStream(policy string, eps, alpha float64, batch int, eventq, path, dump 
 	)
 	switch policy {
 	case "flowtime":
-		opt := flowtime.Options{Epsilon: eps, SizeHint: r.Jobs(), EventQueue: eventq}
+		opt := flowtime.Options{Epsilon: eps, SizeHint: r.Jobs()}
 		var s *flowtime.Session
 		var err error
 		if resumeFrom != nil {
@@ -407,7 +406,7 @@ func runStream(policy string, eps, alpha float64, batch int, eventq, path, dump 
 			return res.Outcome, nil
 		}
 	case "wflow":
-		opt := wflow.Options{Epsilon: eps, SizeHint: r.Jobs(), EventQueue: eventq}
+		opt := wflow.Options{Epsilon: eps, SizeHint: r.Jobs()}
 		var s *wflow.Session
 		var err error
 		if resumeFrom != nil {
@@ -431,7 +430,7 @@ func runStream(policy string, eps, alpha float64, batch int, eventq, path, dump 
 		if a == 0 {
 			a = r.Alpha()
 		}
-		opt := speedscale.Options{Epsilon: eps, Alpha: a, SizeHint: r.Jobs(), EventQueue: eventq}
+		opt := speedscale.Options{Epsilon: eps, Alpha: a, SizeHint: r.Jobs()}
 		var s *speedscale.Session
 		var err error
 		if resumeFrom != nil {
@@ -451,7 +450,7 @@ func runStream(policy string, eps, alpha float64, batch int, eventq, path, dump 
 			return res.Outcome, nil
 		}
 	case "srpt":
-		opt := srpt.Options{SizeHint: r.Jobs(), EventQueue: eventq}
+		opt := srpt.Options{SizeHint: r.Jobs()}
 		var s *srpt.Session
 		var err error
 		if resumeFrom != nil {
@@ -474,9 +473,9 @@ func runStream(policy string, eps, alpha float64, batch int, eventq, path, dump 
 		var s *srpt.WeightedSession
 		var err error
 		if resumeFrom != nil {
-			s, err = srpt.RestoreWeighted(resumeFrom, srpt.WeightedOptions{EventQueue: eventq})
+			s, err = srpt.RestoreWeighted(resumeFrom, srpt.WeightedOptions{})
 		} else {
-			s, err = srpt.NewWeightedSession(r.Machines(), srpt.WeightedOptions{SizeHint: r.Jobs(), EventQueue: eventq})
+			s, err = srpt.NewWeightedSession(r.Machines(), srpt.WeightedOptions{SizeHint: r.Jobs()})
 		}
 		if err != nil {
 			fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
@@ -109,6 +110,7 @@ func overloadRun(cfg Config, eps float64, tenants, perTenant, machines, shards i
 		runErrs = make([]error, tenants)
 	)
 	streams := make([]*front.Stream, tenants)
+	base := time.Now()
 	for ten := 0; ten < tenants; ten++ {
 		st, err := srv.OpenStream(ten)
 		if err != nil {
@@ -121,7 +123,9 @@ func overloadRun(cfg Config, eps float64, tenants, perTenant, machines, shards i
 		c.Load = 2.0 // well past capacity: overload is the point
 		jobs := workload.Random(c).Jobs
 		st := streams[ten]
-		pushed := make([]time.Time, perTenant) // index by local id
+		// pushed[id] is the Push-return time as nanoseconds past base, plus
+		// one so zero means "not yet stored": an ack can overtake the store.
+		pushed := make([]atomic.Int64, perTenant)
 		wg.Add(2)
 		go func(ten int) {
 			defer wg.Done()
@@ -132,7 +136,7 @@ func overloadRun(cfg Config, eps float64, tenants, perTenant, machines, shards i
 					runErrs[ten] = err
 					return
 				}
-				pushed[j.ID] = time.Now()
+				pushed[j.ID].Store(int64(time.Since(base)) + 1)
 				locIngest = append(locIngest, float64(time.Since(start))/float64(time.Microsecond))
 			}
 			st.CloseSend()
@@ -144,8 +148,8 @@ func overloadRun(cfg Config, eps float64, tenants, perTenant, machines, shards i
 			defer wg.Done()
 			locDecide := make([]float64, 0, len(jobs))
 			for a := range st.Acks() {
-				if at := pushed[a.ID]; !at.IsZero() {
-					locDecide = append(locDecide, float64(time.Since(at))/float64(time.Microsecond))
+				if at := pushed[a.ID].Load(); at != 0 {
+					locDecide = append(locDecide, float64(int64(time.Since(base))-at+1)/float64(time.Microsecond))
 				}
 			}
 			mu.Lock()

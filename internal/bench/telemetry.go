@@ -54,12 +54,12 @@ func runE21(cfg Config) (fmt.Stringer, error) {
 	// Part one: obs off vs obs on across the shard fan-out.
 	for _, shards := range []int{1, 2, 4, 8} {
 		hint := engine.PerShardHint(n, shards)
-		offEl, offOuts, _, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, hint, "", nil)
+		offEl, offOuts, _, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, hint, nil)
 		if err != nil {
 			return nil, fmt.Errorf("E21: obs-off reference: %w", err)
 		}
 		reg := obs.NewRegistry()
-		onEl, onOuts, _, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, hint, "", reg)
+		onEl, onOuts, _, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, hint, reg)
 		if err != nil {
 			return nil, fmt.Errorf("E21: obs-on: %w", err)
 		}

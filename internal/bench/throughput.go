@@ -36,8 +36,8 @@ func init() {
 	})
 	register(Experiment{
 		ID: "E19", Kind: "table",
-		Title: "Event-queue A/B (heap vs calendar) + pooled session reuse on the batched shard path",
-		Claim: "perf: the calendar queue and warm-pool session recycling cut per-run overhead on release-ordered streams with bit-identical outcomes",
+		Title: "Hinted heap-queue shard rows + pooled session reuse on the batched shard path",
+		Claim: "perf: warm-pool session recycling is outcome-neutral; its per-run cost is measured against fresh construction",
 		Run:   runE19,
 	})
 }
@@ -60,7 +60,7 @@ const throughputTrials = 5
 
 // bestShardRun repeats shardRun and keeps the fastest trial (outcomes are
 // bit-identical across trials, so only the clock varies).
-func bestShardRun(cfg Config, ins *sched.Instance, m, shards int, opt engine.ShardOptions, sizeHint int, eventQueue string, reg *obs.Registry) (time.Duration, []*sched.Outcome, float64, error) {
+func bestShardRun(cfg Config, ins *sched.Instance, m, shards int, opt engine.ShardOptions, sizeHint int, reg *obs.Registry) (time.Duration, []*sched.Outcome, float64, error) {
 	trials := throughputTrials
 	if cfg.Quick {
 		trials = 2
@@ -71,7 +71,7 @@ func bestShardRun(cfg Config, ins *sched.Instance, m, shards int, opt engine.Sha
 		bestAllocs float64
 	)
 	for trial := 0; trial < trials; trial++ {
-		el, outs, allocs, err := shardRun(ins, m, shards, opt, sizeHint, eventQueue, reg)
+		el, outs, allocs, err := shardRun(ins, m, shards, opt, sizeHint, reg)
 		if err != nil {
 			return 0, nil, 0, err
 		}
@@ -90,11 +90,11 @@ func bestShardRun(cfg Config, ins *sched.Instance, m, shards int, opt engine.Sha
 // E18 passes engine.PerShardHint). A non-nil reg attaches full engine
 // telemetry to every session (E21's A/B lever); nil runs the untelemetered
 // historical path.
-func shardRun(ins *sched.Instance, m, shards int, opt engine.ShardOptions, sizeHint int, eventQueue string, reg *obs.Registry) (time.Duration, []*sched.Outcome, float64, error) {
+func shardRun(ins *sched.Instance, m, shards int, opt engine.ShardOptions, sizeHint int, reg *obs.Registry) (time.Duration, []*sched.Outcome, float64, error) {
 	sessions := make([]*flowtime.Session, shards)
 	feeders := make([]engine.Feeder, shards)
 	for k := range sessions {
-		s, err := flowtime.NewSession(m, flowtime.Options{Epsilon: 0.2, SizeHint: sizeHint, EventQueue: eventQueue})
+		s, err := flowtime.NewSession(m, flowtime.Options{Epsilon: 0.2, SizeHint: sizeHint})
 		if err != nil {
 			return 0, nil, 0, err
 		}
@@ -152,7 +152,7 @@ func runE14(cfg Config) (fmt.Stringer, error) {
 		// MaxBatch 1 pins the historical per-job semantics — one slab
 		// handoff (and worker wakeup) per job — and Slabs 256 restores the
 		// 256-job producer runahead the pre-slab channel buffer gave it.
-		el, _, allocs, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{MaxBatch: 1, Slabs: 256}, 0, "", nil)
+		el, _, allocs, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{MaxBatch: 1, Slabs: 256}, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("E14: %w", err)
 		}
@@ -183,11 +183,11 @@ func runE16(cfg Config) (fmt.Stringer, error) {
 		"shards", "wall ms", "jobs/sec", "×E14", "allocs/job", "fleet mean flow", "same")
 	var scratch sched.Scratch
 	for _, shards := range []int{1, 2, 4, 8} {
-		perJobEl, perJobOuts, _, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{MaxBatch: 1, Slabs: 256}, 0, "", nil)
+		perJobEl, perJobOuts, _, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{MaxBatch: 1, Slabs: 256}, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("E16: per-job reference: %w", err)
 		}
-		el, outs, allocs, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, 0, "", nil)
+		el, outs, allocs, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("E16: %w", err)
 		}
@@ -258,11 +258,11 @@ func runE18(cfg Config) (fmt.Stringer, error) {
 	t := stats.NewTable(fmt.Sprintf("E18 — compute floor on the batched shard path (n=%d, m=%d per shard, slab=256, ε=0.2)", n, m),
 		"shards", "wall ms", "jobs/sec", "×unhint", "allocs/job", "same")
 	for _, shards := range []int{1, 2, 4, 8} {
-		plainEl, plainOuts, _, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, 0, "", nil)
+		plainEl, plainOuts, _, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("E18: unhinted reference: %w", err)
 		}
-		el, outs, allocs, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, engine.PerShardHint(n, shards), "", nil)
+		el, outs, allocs, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, engine.PerShardHint(n, shards), nil)
 		if err != nil {
 			return nil, fmt.Errorf("E18: %w", err)
 		}
@@ -338,42 +338,26 @@ func churnRun(ins *sched.Instance, m, gens int, pool *engine.SessionPool) (time.
 	return el, ref, float64(msAfter.Mallocs-msBefore.Mallocs) / float64(gens), nil
 }
 
-// runE19 answers two questions the compute-floor work left open. First, the
-// event-queue A/B: the same hinted batched shard runs as E18 with the 4-ary
-// heap versus the calendar queue (eventq.Calendar), whose O(1) bucket insert
-// replaces the heap's log-depth sift on the release-ordered stream; outcomes
-// must be bit-identical (the queues share one pop-order contract) and the
-// ratio column reports what the calendar buys end to end — the queue is only
-// a slice of the per-event cost, so the fleet-level ratio is far smaller
-// than the ~2.6× queue-level microbenchmark gap. Second, session churn: a
-// long-lived server that restarts runs pays session construction per
-// generation; the pooled rows recycle one warm session through
-// engine.SessionPool (Reset retains every grown allocation) and report the
-// per-generation allocation collapse against fresh construction, again with
-// bit-identical outcomes.
+// runE19 reports E18's hinted batched shard rows next to a session-churn
+// A/B. The churn rows model a long-lived server that restarts runs and pays
+// session construction per generation; the pooled rows recycle one warm
+// session through engine.SessionPool (Reset retains every grown allocation)
+// and report the per-generation allocation change against fresh
+// construction, with bit-identical outcomes.
 func runE19(cfg Config) (fmt.Stringer, error) {
 	ins, m := throughputWorkload(cfg)
 	n := len(ins.Jobs)
 
-	t := stats.NewTable(fmt.Sprintf("E19 — event-queue A/B + pooled session churn (n=%d, m=%d per shard, slab=256, ε=0.2, hinted)", n, m),
+	t := stats.NewTable(fmt.Sprintf("E19 — heap shard rows + pooled session churn (n=%d, m=%d per shard, slab=256, ε=0.2, hinted)", n, m),
 		"row", "wall ms", "jobs/sec", "ratio", "allocs/job", "same")
 	for _, shards := range []int{1, 2, 4, 8} {
 		hint := engine.PerShardHint(n, shards)
-		heapEl, heapOuts, heapAllocs, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, hint, engine.EventQueueHeap, nil)
+		heapEl, _, heapAllocs, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, hint, nil)
 		if err != nil {
 			return nil, fmt.Errorf("E19: heap reference: %w", err)
 		}
-		calEl, calOuts, calAllocs, err := bestShardRun(cfg, ins, m, shards, engine.ShardOptions{}, hint, engine.EventQueueCalendar, nil)
-		if err != nil {
-			return nil, fmt.Errorf("E19: calendar: %w", err)
-		}
-		identical := reflect.DeepEqual(calOuts, heapOuts)
-		heapRate := float64(n) / heapEl.Seconds()
-		calRate := float64(n) / calEl.Seconds()
 		t.AddRowf(fmt.Sprintf("heap ×%d shards", shards), float64(heapEl.Microseconds())/1000,
-			heapRate, 1.0, heapAllocs/float64(n), okMark(true))
-		t.AddRowf(fmt.Sprintf("calendar ×%d shards", shards), float64(calEl.Microseconds())/1000,
-			calRate, calRate/heapRate, calAllocs/float64(n), okMark(identical))
+			float64(n)/heapEl.Seconds(), 1.0, heapAllocs/float64(n), okMark(true))
 	}
 
 	gens := 6

@@ -3,6 +3,8 @@ package flowtime
 import (
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -93,5 +95,58 @@ func BenchmarkDispatchPath(b *testing.B) {
 		if _, err := Run(ins, Options{Epsilon: 0.2}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSessionReuse measures the feed path of a warm-pool session: one
+// recycled session re-fed the full 10k-job stream per iteration, with Close
+// and the Put-time Reset outside the timed window. The entire per-job feed
+// path — ingestion, event queue, dispatch, pending index, outcome recording
+// — must run on storage retained across Reset, so the steady state is
+// allocation-free (the number BENCH_baseline.json gates near zero). The
+// session runs with full engine telemetry attached: counters, the depth
+// gauge and the drain histogram record on every slab, and the gate proves
+// they stay off the allocator.
+func BenchmarkSessionReuse(b *testing.B) {
+	cfg := workload.DefaultConfig(10000, 4, 3)
+	cfg.Load = 1.1
+	ins := workload.Random(cfg)
+	opt := Options{Epsilon: 0.2, SizeHint: len(ins.Jobs)}
+	pool := engine.NewSessionPool(0)
+	const key = "flowtime/bench"
+
+	warm, err := NewSession(ins.Machines, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm.SetTelemetry(engine.NewTelemetry(obs.NewRegistry(), "0"))
+	if err := warm.FeedBatch(ins.Jobs); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := warm.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if err := pool.Put(key, warm); err != nil {
+		b.Fatal(err)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, _ := pool.Get(key).(*Session)
+		if s == nil {
+			b.Fatal("warm pool missed")
+		}
+		if err := s.FeedBatch(ins.Jobs); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if _, err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := pool.Put(key, s); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

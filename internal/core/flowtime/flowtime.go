@@ -61,10 +61,6 @@ type Options struct {
 	// demand — and the hint never changes outcomes. Batch Run overrides it
 	// with the instance's exact job count.
 	SizeHint int
-	// EventQueue names the engine's event-queue implementation
-	// (engine.EventQueueHeap or engine.EventQueueCalendar; empty selects the
-	// heap). Performance-only: outcomes are bit-identical either way.
-	EventQueue string
 }
 
 func (o Options) validate() error {

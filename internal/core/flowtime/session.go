@@ -39,7 +39,7 @@ func newSession(machines int, opt Options, hint int) (*Session, error) {
 	if opt.TrackDual && hint > 0 {
 		eh = 2*hint + machines + 1 // one C̃ exit event per job on top of arrivals
 	}
-	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint, EventHint: eh, EventQueue: opt.EventQueue})
+	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint, EventHint: eh})
 	if err != nil {
 		return nil, err
 	}

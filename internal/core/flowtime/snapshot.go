@@ -149,15 +149,14 @@ func (s *Session) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
 // Restore reconstructs a streaming session from a snapshot written by
 // Session.Snapshot. opt must carry the same semantic configuration the donor
 // ran with (Epsilon, rule switches, TrackDual) — a mismatch is detected from
-// the snapshot's option echo and fails loudly; SizeHint and EventQueue are
-// performance-only and may differ. The machine count comes from the
-// snapshot itself.
+// the snapshot's option echo and fails loudly. The machine count comes from
+// the snapshot itself.
 func Restore(r io.Reader, opt Options) (*Session, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	var p *policy
-	es, err := engine.RestoreOpts(r, engine.Options{EventQueue: opt.EventQueue}, func(machines int) (engine.Policy, error) {
+	es, err := engine.Restore(r, func(machines int) (engine.Policy, error) {
 		p = newPolicy(opt, machines, 0)
 		return p, nil
 	})

@@ -46,7 +46,7 @@ func newSession(machines int, opt Options, hint int) (*Session, error) {
 		return nil, fmt.Errorf("speedscale: session needs at least one machine, got %d", machines)
 	}
 	p := newPolicy(opt, opt.Alpha, gamma, machines, hint)
-	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint, EventQueue: opt.EventQueue})
+	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint})
 	if err != nil {
 		return nil, err
 	}

@@ -173,8 +173,7 @@ func (s *Session) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
 // Restore reconstructs a streaming session from a snapshot written by
 // Session.Snapshot. opt must resolve to the donor's (ε, α, γ, TrackDual) —
 // Alpha is required, exactly as in NewSession, and γ defaults the same way —
-// which the snapshot's configuration echo verifies; SizeHint and EventQueue
-// are performance-only and may differ.
+// which the snapshot's configuration echo verifies.
 func Restore(r io.Reader, opt Options) (*Session, error) {
 	if !(opt.Epsilon > 0 && opt.Epsilon < 1) {
 		return nil, fmt.Errorf("speedscale: epsilon must be in (0,1), got %v", opt.Epsilon)
@@ -190,7 +189,7 @@ func Restore(r io.Reader, opt Options) (*Session, error) {
 		return nil, fmt.Errorf("speedscale: gamma must be positive, got %v", gamma)
 	}
 	var p *spolicy
-	es, err := engine.RestoreOpts(r, engine.Options{EventQueue: opt.EventQueue}, func(machines int) (engine.Policy, error) {
+	es, err := engine.Restore(r, func(machines int) (engine.Policy, error) {
 		p = newPolicy(opt, opt.Alpha, gamma, machines, 0)
 		return p, nil
 	})

@@ -32,7 +32,7 @@ func newSession(machines int, opt Options, hint int) (*Session, error) {
 		hint = 0
 	}
 	p := newPolicy(machines)
-	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint, EventQueue: opt.EventQueue})
+	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint})
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +128,7 @@ func newWeightedSession(machines int, opt WeightedOptions, hint int) (*WeightedS
 		p.pmin = make([]float64, 0, hint)
 		p.lastMach = make([]int32, 0, hint)
 	}
-	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint, EventQueue: opt.EventQueue})
+	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint})
 	if err != nil {
 		return nil, err
 	}

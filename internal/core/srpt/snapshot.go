@@ -74,10 +74,10 @@ func (s *Session) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
 
 // Restore reconstructs a streaming per-machine SRPT session from a snapshot
 // written by Session.Snapshot. The machine count comes from the snapshot;
-// opt.EventQueue is performance-only and may differ from the donor's.
+// opt carries no setting a restore uses.
 func Restore(r io.Reader, opt Options) (*Session, error) {
 	var p *policy
-	es, err := engine.RestoreOpts(r, engine.Options{EventQueue: opt.EventQueue}, func(machines int) (engine.Policy, error) {
+	es, err := engine.Restore(r, func(machines int) (engine.Policy, error) {
 		p = newPolicy(machines)
 		return p, nil
 	})
@@ -173,7 +173,7 @@ func (s *WeightedSession) Snapshot(w io.Writer) error { return s.es.Snapshot(w) 
 // from a snapshot written by WeightedSession.Snapshot.
 func RestoreWeighted(r io.Reader, opt WeightedOptions) (*WeightedSession, error) {
 	var p *wpolicy
-	es, err := engine.RestoreOpts(r, engine.Options{EventQueue: opt.EventQueue}, func(machines int) (engine.Policy, error) {
+	es, err := engine.Restore(r, func(machines int) (engine.Policy, error) {
 		p = newWPolicy()
 		return p, nil
 	})

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/lowerbound"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -79,40 +78,38 @@ func TestSRPTSingleMachineMatchesBound(t *testing.T) {
 }
 
 // TestSRPTSessionMatchesRun is the streaming equivalence golden test: a
-// Session fed one job at a time must match the batch Run bit for bit, under
-// either event queue, with and without interleaved AdvanceTo calls.
+// Session fed one job at a time must match the batch Run bit for bit, with
+// and without interleaved AdvanceTo calls.
 func TestSRPTSessionMatchesRun(t *testing.T) {
 	for n, ins := range goldenInstances() {
-		for _, opt := range []Options{{}, {EventQueue: engine.EventQueueCalendar}} {
-			batch, err := Run(ins, opt)
+		batch, err := Run(ins, Options{})
+		if err != nil {
+			t.Fatalf("instance %d: batch: %v", n, err)
+		}
+		for _, advance := range []bool{false, true} {
+			s, err := NewSession(ins.Machines, Options{})
 			if err != nil {
-				t.Fatalf("instance %d: batch: %v", n, err)
+				t.Fatal(err)
 			}
-			for _, advance := range []bool{false, true} {
-				s, err := NewSession(ins.Machines, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := range ins.Jobs {
-					if advance && k%3 == 0 {
-						if err := s.AdvanceTo(ins.Jobs[k].Release); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := s.Feed(ins.Jobs[k]); err != nil {
+			for k := range ins.Jobs {
+				if advance && k%3 == 0 {
+					if err := s.AdvanceTo(ins.Jobs[k].Release); err != nil {
 						t.Fatal(err)
 					}
 				}
-				stream, err := s.Close()
-				if err != nil {
+				if err := s.Feed(ins.Jobs[k]); err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(batch.Outcome, stream.Outcome) {
-					t.Fatalf("instance %d opt %+v advance %v: streaming outcome diverges from batch", n, opt, advance)
-				}
-				if batch.Preemptions != stream.Preemptions {
-					t.Fatalf("instance %d: preemption counters diverge (%d vs %d)", n, batch.Preemptions, stream.Preemptions)
-				}
+			}
+			stream, err := s.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(batch.Outcome, stream.Outcome) {
+				t.Fatalf("instance %d advance %v: streaming outcome diverges from batch", n, advance)
+			}
+			if batch.Preemptions != stream.Preemptions {
+				t.Fatalf("instance %d: preemption counters diverge (%d vs %d)", n, batch.Preemptions, stream.Preemptions)
 			}
 		}
 	}

@@ -18,10 +18,6 @@ type WeightedOptions struct {
 	// demand — and the hint never changes outcomes. Batch RunWeighted
 	// overrides it with the instance's exact job count.
 	SizeHint int
-	// EventQueue names the engine's event-queue implementation
-	// (engine.EventQueueHeap or engine.EventQueueCalendar; empty selects the
-	// heap). Performance-only: outcomes are bit-identical either way.
-	EventQueue string
 }
 
 // WeightedResult is the audited output of a migratory weighted-SRPT run.

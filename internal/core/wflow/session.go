@@ -34,7 +34,7 @@ func newSession(machines int, opt Options, hint int) (*Session, error) {
 		return nil, fmt.Errorf("wflow: session needs at least one machine, got %d", machines)
 	}
 	p := newPolicy(opt, machines, hint)
-	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint, EventQueue: opt.EventQueue})
+	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint})
 	if err != nil {
 		return nil, err
 	}

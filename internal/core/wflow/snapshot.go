@@ -89,14 +89,13 @@ func (s *Session) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
 
 // Restore reconstructs a streaming session from a snapshot written by
 // Session.Snapshot. opt.Epsilon must match the donor's (checked against the
-// snapshot's echo); SizeHint and EventQueue are performance-only and may
-// differ.
+// snapshot's echo).
 func Restore(r io.Reader, opt Options) (*Session, error) {
 	if !(opt.Epsilon > 0 && opt.Epsilon < 1) {
 		return nil, fmt.Errorf("wflow: epsilon must be in (0,1), got %v", opt.Epsilon)
 	}
 	var p *wpolicy
-	es, err := engine.RestoreOpts(r, engine.Options{EventQueue: opt.EventQueue}, func(machines int) (engine.Policy, error) {
+	es, err := engine.Restore(r, func(machines int) (engine.Policy, error) {
 		p = newPolicy(opt, machines, 0)
 		return p, nil
 	})

@@ -99,30 +99,6 @@ type MachineState struct {
 // Idle reports whether the machine is not executing a job.
 func (m *MachineState) Idle() bool { return m.Running == -1 }
 
-// Event-queue implementations selectable via Options.EventQueue. The empty
-// string selects the heap (the long-standing default).
-const (
-	// EventQueueHeap is the 4-ary min-heap (eventq.Queue): O(log n) per
-	// operation regardless of the push pattern, the robust choice.
-	EventQueueHeap = "heap"
-	// EventQueueCalendar is the bucketed ladder queue (eventq.Calendar):
-	// O(1) amortized push and near-O(1) pop on release-ordered streams —
-	// the engine's access pattern — with the exact same deterministic
-	// (Time, Kind, insertion-seq) pop order as the heap.
-	EventQueueCalendar = "calendar"
-)
-
-// newEventQueue builds the event-queue implementation named by kind.
-func newEventQueue(kind string) (eventq.Interface, error) {
-	switch kind {
-	case "", EventQueueHeap:
-		return &eventq.Queue{}, nil
-	case EventQueueCalendar:
-		return eventq.NewCalendar(), nil
-	}
-	return nil, fmt.Errorf("engine: unknown event queue %q (want %q or %q)", kind, EventQueueHeap, EventQueueCalendar)
-}
-
 // Options configures a session.
 type Options struct {
 	// Machines is the number of unrelated machines (≥ 1).
@@ -135,19 +111,13 @@ type Options struct {
 	// schedules extra per-job events (e.g. dual bookkeeping exits); zero
 	// derives a default from SizeHint and Machines.
 	EventHint int
-	// EventQueue names the event-queue implementation (EventQueueHeap or
-	// EventQueueCalendar; empty selects the heap). Both satisfy the same
-	// deterministic pop-order contract and one shared snapshot format, so
-	// the choice is performance-only: outcomes are bit-identical and a
-	// snapshot taken under either restores under the other.
-	EventQueue string
 }
 
 // Core is the engine state a Policy interacts with. It is owned by a
 // Session and must not be used after the session closes.
 type Core struct {
 	pol  Policy
-	q    eventq.Interface
+	q    eventq.Queue
 	mach []MachineState
 	jobs []sched.Job
 	// done[jk] is the fraction of job jk's required work executed so far,
@@ -167,13 +137,8 @@ type Core struct {
 	tel Telemetry
 }
 
-func (c *Core) init(pol Policy, opt Options) error {
-	q, err := newEventQueue(opt.EventQueue)
-	if err != nil {
-		return err
-	}
+func (c *Core) init(pol Policy, opt Options) {
 	c.pol = pol
-	c.q = q
 	c.mach = make([]MachineState, opt.Machines)
 	for i := range c.mach {
 		c.mach[i].Running = -1
@@ -187,7 +152,6 @@ func (c *Core) init(pol Policy, opt Options) error {
 		eh = opt.SizeHint + opt.Machines + 1
 	}
 	c.q.Grow(eh)
-	return nil
 }
 
 // Machines returns the machine count.

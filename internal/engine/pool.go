@@ -14,9 +14,9 @@ type Recyclable interface {
 // stop re-paying the doubling-growth startup allocations every session
 // restart. Sessions park under a caller-chosen key that must capture every
 // outcome-relevant construction parameter (policy name, machine count,
-// policy options, event-queue choice): a Get for a key only ever returns a
-// session built with exactly those parameters, so recycling is performance-
-// only and can never change outcomes.
+// policy options): a Get for a key only ever returns a session built with
+// exactly those parameters, so recycling is performance-only and can never
+// change outcomes.
 //
 // The pool is safe for concurrent use — shard workers rotating sessions and
 // a front door restarting drained ones share one pool. Reset runs inside

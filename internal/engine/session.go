@@ -37,9 +37,7 @@ func NewSession(pol Policy, opt Options) (*Session, error) {
 		return nil, fmt.Errorf("engine: session needs at least one machine, got %d", opt.Machines)
 	}
 	s := &Session{}
-	if err := s.core.init(pol, opt); err != nil {
-		return nil, err
-	}
+	s.core.init(pol, opt)
 	pol.Bind(&s.core)
 	return s, nil
 }

@@ -160,15 +160,6 @@ func snapshotOutcome(e *snapshot.Encoder, c *Core) {
 // stream and closing yields an Outcome bit-identical to an uninterrupted
 // run's.
 func Restore(r io.Reader, newPolicy func(machines int) (Policy, error)) (*Session, error) {
-	return RestoreOpts(r, Options{}, newPolicy)
-}
-
-// RestoreOpts is Restore with performance-only options carried into the
-// rebuilt session: opt.EventQueue selects the event-queue implementation
-// (both speak the same EVTQ wire format, so a snapshot taken under either
-// restores under either) and opt.EventHint presizes it. Machines and
-// SizeHint come from the snapshot itself; opt's values for them are ignored.
-func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy, error)) (*Session, error) {
 	sr, err := snapshot.NewReader(r)
 	if err != nil {
 		return nil, err
@@ -204,12 +195,7 @@ func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy,
 		return nil, fmt.Errorf("engine: policy %T does not implement StatefulPolicy; snapshot cannot be restored into it", pol)
 	}
 	s := &Session{last: last, floor: floor}
-	if err := s.core.init(pol, Options{
-		Machines: machines, SizeHint: int(njobs),
-		EventHint: opt.EventHint, EventQueue: opt.EventQueue,
-	}); err != nil {
-		return nil, err
-	}
+	s.core.init(pol, Options{Machines: machines, SizeHint: int(njobs)})
 	c := &s.core
 	c.seq = int32(coreSeq)
 	if err := restoreInto(sr, s, sp); err != nil {
@@ -324,7 +310,7 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 	if err := c.q.Restore(d); err != nil {
 		return err
 	}
-	if err := validateEvents(c.q, d, njobs, machines); err != nil {
+	if err := validateEvents(&c.q, d, njobs, machines); err != nil {
 		return err
 	}
 	if err := d.Done(); err != nil {
@@ -493,9 +479,9 @@ func RestoreFleet(r io.Reader, restore func(shard int, r io.Reader) error) (int,
 
 // validateEvents bounds-checks the restored queue's payloads against the
 // restored job table and machine count. The queue package already verified
-// kinds, sequence numbers and (for the heap) the heap order; the engine owns
-// the meaning of the payload fields.
-func validateEvents(q eventq.Interface, d *snapshot.Decoder, njobs, machines int) error {
+// kinds, sequence numbers and the heap order; the engine owns the meaning of
+// the payload fields.
+func validateEvents(q *eventq.Queue, d *snapshot.Decoder, njobs, machines int) error {
 	ok := true
 	q.Scan(func(e *eventq.Event) bool {
 		if e.Job < -1 || int(e.Job) >= njobs || e.Machine < -1 || int(e.Machine) >= machines {

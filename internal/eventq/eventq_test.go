@@ -1,10 +1,13 @@
 package eventq
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/snapshot"
 )
 
 func TestOrderingByTime(t *testing.T) {
@@ -103,82 +106,6 @@ func TestInterleavedPushPop(t *testing.T) {
 	}
 }
 
-func TestInitMatchesPushes(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	events := make([]Event, 500)
-	for i := range events {
-		events[i] = Event{Time: rng.Float64() * 100, Kind: Kind(rng.Intn(3)), Job: int32(i)}
-	}
-	var bulk, oneByOne Queue
-	bulk.Init(events)
-	for _, e := range events {
-		oneByOne.Push(e)
-	}
-	for oneByOne.Len() > 0 {
-		a, b := bulk.Pop(), oneByOne.Pop()
-		if a != b {
-			t.Fatalf("bulk Init diverged from pushes: %+v vs %+v", a, b)
-		}
-	}
-	if bulk.Len() != 0 {
-		t.Fatalf("bulk queue has %d leftover events", bulk.Len())
-	}
-}
-
-func TestPushBatchMatchesPushes(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	// Both the empty-queue heapify path and the incremental sift path, with
-	// tie-heavy times so sequence order is load-bearing.
-	for _, preload := range []int{0, 1, 37} {
-		events := make([]Event, 300)
-		for i := range events {
-			events[i] = Event{Time: float64(rng.Intn(20)), Kind: Kind(rng.Intn(3)), Job: int32(i)}
-		}
-		var bulk, oneByOne Queue
-		for i := 0; i < preload; i++ {
-			e := Event{Time: float64(rng.Intn(20)), Kind: Kind(rng.Intn(3)), Job: int32(1000 + i)}
-			bulk.Push(e)
-			oneByOne.Push(e)
-		}
-		bulk.PushBatch(events)
-		for _, e := range events {
-			oneByOne.Push(e)
-		}
-		for oneByOne.Len() > 0 {
-			a, b := bulk.Pop(), oneByOne.Pop()
-			if a != b {
-				t.Fatalf("preload %d: PushBatch diverged from pushes: %+v vs %+v", preload, a, b)
-			}
-		}
-		if bulk.Len() != 0 {
-			t.Fatalf("preload %d: bulk queue has %d leftover events", preload, bulk.Len())
-		}
-	}
-}
-
-func TestPushBatchThenPushKeepsSequenceOrder(t *testing.T) {
-	var q Queue
-	q.PushBatch([]Event{{Time: 1, Kind: KindArrival, Job: 0}, {Time: 1, Kind: KindArrival, Job: 1}, {Time: 1, Kind: KindArrival, Job: 2}})
-	q.Push(Event{Time: 1, Kind: KindArrival, Job: 3})
-	q.PushBatch([]Event{{Time: 1, Kind: KindArrival, Job: 4}})
-	for want := int32(0); want < 5; want++ {
-		if e := q.Pop(); e.Job != want {
-			t.Fatalf("got job %d, want %d", e.Job, want)
-		}
-	}
-}
-
-func TestInitThenPushKeepsSequenceOrder(t *testing.T) {
-	var q Queue
-	q.Init([]Event{{Time: 1, Kind: KindArrival, Job: 0}, {Time: 1, Kind: KindArrival, Job: 1}})
-	q.Push(Event{Time: 1, Kind: KindArrival, Job: 2})
-	for want := int32(0); want < 3; want++ {
-		if e := q.Pop(); e.Job != want {
-			t.Fatalf("got job %d, want %d", e.Job, want)
-		}
-	}
-}
-
 func TestGrowPreservesContents(t *testing.T) {
 	var q Queue
 	q.Push(Event{Time: 2, Job: 1})
@@ -189,14 +116,148 @@ func TestGrowPreservesContents(t *testing.T) {
 	}
 }
 
-func TestInitEmptyAndSingle(t *testing.T) {
+// TestResetRetainsCapacityAndRestartsSeq covers the Reset contract: emptied,
+// seq back to zero (fresh-queue pop order), and no growth allocations on
+// refill.
+func TestResetRetainsCapacityAndRestartsSeq(t *testing.T) {
 	var q Queue
-	q.Init(nil) // must not panic
-	if q.Len() != 0 {
-		t.Fatalf("empty Init: len %d", q.Len())
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		q.Push(Event{Time: float64(rng.Intn(20)), Kind: Kind(rng.Intn(3)), Job: int32(i)})
 	}
-	q.Init([]Event{{Time: 3, Job: 1}})
-	if e := q.Pop(); e.Job != 1 || q.Len() != 0 {
-		t.Fatalf("single Init broken: %+v", e)
+	for i := 0; i < 100; i++ {
+		q.Pop()
+	}
+	q.Reset()
+	if q.Len() != 0 {
+		t.Fatalf("Reset left %d events", q.Len())
+	}
+	// A reset queue must behave exactly like a fresh one: same-time pushes
+	// pop in insertion order starting from seq 0.
+	q.Push(Event{Time: 1, Kind: KindArrival, Job: 10})
+	q.Push(Event{Time: 1, Kind: KindArrival, Job: 11})
+	if e := q.Pop(); e.Job != 10 {
+		t.Fatalf("post-Reset seq order broken: got job %d", e.Job)
+	}
+	q.Pop()
+	// Refill must not allocate: capacity was retained.
+	allocs := testing.AllocsPerRun(3, func() {
+		q.Reset()
+		for i := 0; i < 400; i++ {
+			q.Push(Event{Time: float64(i % 20), Kind: KindArrival, Job: int32(i)})
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("refill after Reset allocated %.1f times per run", allocs)
+	}
+}
+
+// FuzzQueueVsSorted is the differential fuzz of the heap against a plain
+// slice kept sorted by (Time, Kind, push order): an arbitrary operation
+// stream — pushes with fuzzer-chosen times and kinds, pops, and a
+// mid-sequence snapshot whose restore replaces the heap — must pop the same
+// events in the same order from both.
+func FuzzQueueVsSorted(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 200, 5, 6, 255, 8, 9}, uint16(5))
+	f.Add([]byte{10, 10, 10, 10, 10, 10, 255, 255}, uint16(2))
+	f.Add([]byte{}, uint16(0))
+	f.Fuzz(func(t *testing.T, ops []byte, snapAt uint16) {
+		if len(ops) > 2048 {
+			return
+		}
+		var q Queue
+		// ref is the sorted reference; Job is the push index, unique per
+		// event, so it is also the final tie-break.
+		var ref []Event
+		before := func(a, b Event) bool {
+			if a.Time != b.Time {
+				return a.Time < b.Time
+			}
+			if a.Kind != b.Kind {
+				return a.Kind < b.Kind
+			}
+			return a.Job < b.Job
+		}
+		pop := func(step int) {
+			got, want := q.Pop(), ref[0]
+			ref = ref[1:]
+			if got.Time != want.Time || got.Kind != want.Kind || got.Job != want.Job {
+				t.Fatalf("step %d: heap popped %+v, sorted reference %+v", step, got, want)
+			}
+		}
+		for step, op := range ops {
+			if op >= 200 && q.Len() > 0 {
+				pop(step)
+			} else {
+				// Times from a coarse grid (op low bits scaled) so exact ties
+				// are common, occasionally huge. Never NaN: the contract
+				// excludes it.
+				tt := float64(op&63) * 0.25
+				if op&64 != 0 {
+					tt *= 1e6
+				}
+				ev := Event{Time: tt, Kind: Kind(op % 3), Job: int32(step)}
+				q.Push(ev)
+				i := sort.Search(len(ref), func(i int) bool { return before(ev, ref[i]) })
+				ref = append(ref, Event{})
+				copy(ref[i+1:], ref[i:])
+				ref[i] = ev
+			}
+			if step == int(snapAt) {
+				var buf bytes.Buffer
+				w := snapshot.NewWriter(&buf)
+				if w.Section("EVTQ", q.Snapshot) != nil || w.Close() != nil {
+					t.Fatal("snapshot write failed")
+				}
+				r, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := r.Section("EVTQ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var nq Queue
+				if err := nq.Restore(d); err != nil {
+					t.Fatalf("restore failed: %v", err)
+				}
+				q = nq
+			}
+			if q.Len() != len(ref) {
+				t.Fatalf("step %d: heap holds %d events, reference %d", step, q.Len(), len(ref))
+			}
+		}
+		for q.Len() > 0 {
+			pop(len(ops))
+		}
+	})
+}
+
+// BenchmarkHeapPushPop pushes a release-ordered stream with completion-style
+// jitter — the engine's access pattern — and drains it, b.N events total.
+func BenchmarkHeapPushPop(b *testing.B) {
+	b.ReportAllocs()
+	rng := rand.New(rand.NewSource(1))
+	var q Queue
+	q.Grow(1024)
+	now := 0.0
+	for i := 0; i < b.N; i++ {
+		if q.Len() >= 1024 {
+			e := q.Pop()
+			if e.Time > now {
+				now = e.Time
+			}
+			continue
+		}
+		// Arrivals march forward; completions land a bounded lead ahead.
+		now += 0.01
+		lead := rng.Float64() * 3
+		q.Push(Event{Time: now + lead, Kind: Kind(rng.Intn(3)), Job: int32(i)})
+	}
+	for q.Len() > 0 {
+		q.Pop()
 	}
 }

@@ -3,20 +3,21 @@ package eventq
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/snapshot"
 )
 
-// roundTrip snapshots q through a full container write/read cycle and
-// restores into a fresh queue, failing the test on any container or decode
-// error.
-func roundTrip(t *testing.T, q *Queue) *Queue {
+// roundTrip writes one EVTQ section with fill through a full container
+// write/read cycle and restores it into a fresh queue, failing the test on
+// any container or decode error.
+func roundTrip(t *testing.T, fill func(e *snapshot.Encoder)) *Queue {
 	t.Helper()
 	var buf bytes.Buffer
 	w := snapshot.NewWriter(&buf)
-	if err := w.Section("EVTQ", func(e *snapshot.Encoder) { q.Snapshot(e) }); err != nil {
+	if err := w.Section("EVTQ", fill); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -40,6 +41,16 @@ func roundTrip(t *testing.T, q *Queue) *Queue {
 	return &q2
 }
 
+// sortedSnapshot writes q's state in the EVTQ wire format with the events
+// in pop order rather than heap layout — the layout the retired calendar
+// queue wrote. A sorted array is a valid heap, so such checkpoints must
+// still restore.
+func sortedSnapshot(q *Queue) func(e *snapshot.Encoder) {
+	s := Queue{h: append([]Event(nil), q.h...), seq: q.seq}
+	sort.Slice(s.h, func(i, j int) bool { return less(&s.h[i], &s.h[j]) })
+	return s.Snapshot
+}
+
 // drainAll pops every event of q into a slice.
 func drainAll(q *Queue) []Event {
 	out := make([]Event, 0, q.Len())
@@ -55,7 +66,8 @@ func drainAll(q *Queue) []Event {
 // have — including events tied on (Time, Kind) that only the preserved
 // insertion sequence can order — and events pushed after the restore must
 // interleave with restored ones exactly as post-snapshot pushes would have
-// interleaved with the originals.
+// interleaved with the originals. Each state is restored twice: from the
+// heap's own snapshot and from a sorted-layout payload.
 func TestSnapshotRestorePopOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 50; trial++ {
@@ -77,7 +89,7 @@ func TestSnapshotRestorePopOrder(t *testing.T) {
 		for i := 0; i < drained; i++ {
 			q.Pop()
 		}
-		q2 := roundTrip(t, &q)
+		restored := []*Queue{roundTrip(t, q.Snapshot), roundTrip(t, sortedSnapshot(&q))}
 
 		// Post-snapshot pushes on both queues: the restored seq counter must
 		// make them tie-break identically against the surviving events.
@@ -90,16 +102,21 @@ func TestSnapshotRestorePopOrder(t *testing.T) {
 				Machine: int32(rng.Intn(4)),
 			}
 			q.Push(ev)
-			q2.Push(ev)
+			for _, r := range restored {
+				r.Push(ev)
+			}
 		}
 
-		got, want := drainAll(q2), drainAll(&q)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d events restored, want %d", trial, len(got), len(want))
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("trial %d: pop %d diverges: restored %+v, original %+v", trial, k, got[k], want[k])
+		want := drainAll(&q)
+		for layout, r := range restored {
+			got := drainAll(r)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d layout %d: %d events restored, want %d", trial, layout, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("trial %d layout %d: pop %d diverges: restored %+v, original %+v", trial, layout, k, got[k], want[k])
+				}
 			}
 		}
 	}
@@ -108,12 +125,12 @@ func TestSnapshotRestorePopOrder(t *testing.T) {
 // TestSnapshotRestoreEmptyAndTiny covers the degenerate sizes.
 func TestSnapshotRestoreEmptyAndTiny(t *testing.T) {
 	var q Queue
-	q2 := roundTrip(t, &q)
+	q2 := roundTrip(t, q.Snapshot)
 	if q2.Len() != 0 {
 		t.Fatalf("empty queue restored with %d events", q2.Len())
 	}
 	q.Push(Event{Time: 3, Kind: KindArrival, Job: 1, Machine: -1})
-	q2 = roundTrip(t, &q)
+	q2 = roundTrip(t, q.Snapshot)
 	if q2.Len() != 1 || q2.Pop() != q.Pop() {
 		t.Fatal("single-event queue did not round-trip")
 	}

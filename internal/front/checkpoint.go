@@ -236,7 +236,7 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 
 	sessions := make([]*policySession, shards)
 	got, err := engine.RestoreFleet(bytes.NewReader(fleetBytes), func(k int, r io.Reader) error {
-		ps, err := buildSession(policy, machines, eps, alpha, 0, cfg.EventQueue, r)
+		ps, err := buildSession(policy, machines, eps, alpha, 0, r)
 		if err != nil {
 			return err
 		}

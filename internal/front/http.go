@@ -174,11 +174,14 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 // a successful no-op, so retrying after an ambiguous failure is safe.
 func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 	shards, err := strconv.Atoi(r.URL.Query().Get("shards"))
-	if err != nil || shards <= 0 {
-		httpError(w, http.StatusBadRequest, "shards must be a positive integer, got %q", r.URL.Query().Get("shards"))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "shards must be an integer, got %q", r.URL.Query().Get("shards"))
 		return
 	}
 	switch err := s.Resize(shards); {
+	case errors.Is(err, ErrShardCount):
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	case errors.Is(err, ErrDraining):
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return

@@ -41,24 +41,23 @@ func (ps *policySession) Reset() error { return ps.reset() }
 const servePolicies = "flowtime|wflow|speedscale|srpt|wsrpt"
 
 // sessionKey is the pool key of a session shape: every construction
-// parameter that could change outcomes (policy, machine count, ε, α, event
-// queue) is folded in, so a pooled session can only ever be recycled into a
+// parameter that could change outcomes (policy, machine count, ε, α) is
+// folded in, so a pooled session can only ever be recycled into a
 // server whose runs it is bit-identical for. Size hints are
 // performance-only and deliberately excluded.
-func sessionKey(policy string, machines int, eps, alpha float64, eventQueue string) string {
-	return fmt.Sprintf("%s/m=%d/eps=%g/alpha=%g/q=%s", policy, machines, eps, alpha, eventQueue)
+func sessionKey(policy string, machines int, eps, alpha float64) string {
+	return fmt.Sprintf("%s/m=%d/eps=%g/alpha=%g", policy, machines, eps, alpha)
 }
 
 // buildSession constructs (restore == nil) or restores (restore != nil) one
 // shard's scheduler session. The shard fleet is the parallelism; each
 // session runs on one goroutine. sizeHint preallocates per-job storage
 // for a stream of about that many jobs (0 grows on demand); restores ignore
-// it — a restored session sizes itself from the snapshot. eventQueue selects
-// the engine's event-queue implementation (performance-only; "" is the heap).
-func buildSession(policy string, machines int, eps, alpha float64, sizeHint int, eventQueue string, restore io.Reader) (*policySession, error) {
+// it — a restored session sizes itself from the snapshot.
+func buildSession(policy string, machines int, eps, alpha float64, sizeHint int, restore io.Reader) (*policySession, error) {
 	switch policy {
 	case "flowtime":
-		opt := flowtime.Options{Epsilon: eps, SizeHint: sizeHint, EventQueue: eventQueue}
+		opt := flowtime.Options{Epsilon: eps, SizeHint: sizeHint}
 		var s *flowtime.Session
 		var err error
 		if restore != nil {
@@ -77,7 +76,7 @@ func buildSession(policy string, machines int, eps, alpha float64, sizeHint int,
 			return res.Outcome, nil
 		}}, nil
 	case "wflow":
-		opt := wflow.Options{Epsilon: eps, SizeHint: sizeHint, EventQueue: eventQueue}
+		opt := wflow.Options{Epsilon: eps, SizeHint: sizeHint}
 		var s *wflow.Session
 		var err error
 		if restore != nil {
@@ -96,7 +95,7 @@ func buildSession(policy string, machines int, eps, alpha float64, sizeHint int,
 			return res.Outcome, nil
 		}}, nil
 	case "speedscale":
-		opt := speedscale.Options{Epsilon: eps, Alpha: alpha, SizeHint: sizeHint, EventQueue: eventQueue}
+		opt := speedscale.Options{Epsilon: eps, Alpha: alpha, SizeHint: sizeHint}
 		var s *speedscale.Session
 		var err error
 		if restore != nil {
@@ -115,7 +114,7 @@ func buildSession(policy string, machines int, eps, alpha float64, sizeHint int,
 			return res.Outcome, nil
 		}}, nil
 	case "srpt":
-		opt := srpt.Options{SizeHint: sizeHint, EventQueue: eventQueue}
+		opt := srpt.Options{SizeHint: sizeHint}
 		var s *srpt.Session
 		var err error
 		if restore != nil {
@@ -137,9 +136,9 @@ func buildSession(policy string, machines int, eps, alpha float64, sizeHint int,
 		var s *srpt.WeightedSession
 		var err error
 		if restore != nil {
-			s, err = srpt.RestoreWeighted(restore, srpt.WeightedOptions{EventQueue: eventQueue})
+			s, err = srpt.RestoreWeighted(restore, srpt.WeightedOptions{})
 		} else {
-			s, err = srpt.NewWeightedSession(machines, srpt.WeightedOptions{SizeHint: sizeHint, EventQueue: eventQueue})
+			s, err = srpt.NewWeightedSession(machines, srpt.WeightedOptions{SizeHint: sizeHint})
 		}
 		if err != nil {
 			return nil, err

@@ -18,7 +18,6 @@ import (
 func TestPooledServerRestart(t *testing.T) {
 	cfg := testConfig(3, 2)
 	cfg.AwaitTenants = 2
-	cfg.EventQueue = engine.EventQueueCalendar
 	jobs := map[int][]sched.Job{
 		1: genJobs(101, 300, 3),
 		5: genJobs(505, 250, 3),
@@ -39,7 +38,7 @@ func TestPooledServerRestart(t *testing.T) {
 	}
 
 	cfg.Pool = engine.NewSessionPool(0)
-	key := sessionKey(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha, cfg.EventQueue)
+	key := sessionKey(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha)
 	for gen := 0; gen < 3; gen++ {
 		idleBefore := cfg.Pool.Idle(key)
 		s, err := New(cfg)
@@ -85,7 +84,7 @@ func TestPoolKeyIsolation(t *testing.T) {
 	if _, err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	key := sessionKey(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha, cfg.EventQueue)
+	key := sessionKey(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha)
 	if cfg.Pool.Idle(key) != 1 {
 		t.Fatalf("expected 1 parked session under %q", key)
 	}

@@ -374,10 +374,15 @@ func TestResizeDuringDrainRefused(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || body.Shards != 2 || !slices.Equal(body.History, []int{1, 2}) {
 		t.Fatalf("HTTP resize: %d %+v", resp.StatusCode, body)
 	}
-	if resp, err := http.Post(srv.URL+"/v1/resize?shards=0", "", nil); err != nil || resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("shards=0 → %v %v, want 400", resp.StatusCode, err)
-	} else {
+	for _, bad := range []string{"0", "-1", "x", fmt.Sprint(1<<20 + 1)} {
+		resp, err := http.Post(srv.URL+"/v1/resize?shards="+bad, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("shards=%s → %d, want 400", bad, resp.StatusCode)
+		}
 	}
 
 	if _, err := s.Drain(); err != nil {

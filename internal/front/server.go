@@ -87,12 +87,6 @@ type Config struct {
 
 	SizeHint int // expected total jobs across all streams (split per shard via engine.PerShardHint; 0 grows on demand; never changes outcomes)
 
-	// EventQueue names the engine's event-queue implementation for every
-	// shard session (engine.EventQueueHeap or engine.EventQueueCalendar;
-	// empty selects the heap). Performance-only: reports are bit-identical
-	// either way.
-	EventQueue string
-
 	// Pool, when non-nil, recycles shard sessions across server generations:
 	// New draws warm sessions from it (keyed by every outcome-relevant
 	// construction parameter, so a hit is bit-identical to a fresh build) and
@@ -167,6 +161,7 @@ var (
 	ErrTenantBusy   = errors.New("front: tenant already has a live stream")
 	ErrStreamKilled = errors.New("front: stream killed: ack consumer too slow")
 	ErrResizeBusy   = errors.New("front: a resize is already in progress")
+	ErrShardCount   = errors.New("front: resize shard count out of range")
 )
 
 // resizeReq carries one Resize call to the sequencer goroutine.
@@ -277,7 +272,7 @@ func build(cfg Config, restored []*policySession) (*Server, error) {
 	}
 	sessions := restored
 	if sessions == nil {
-		key := sessionKey(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha, cfg.EventQueue)
+		key := sessionKey(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha)
 		sessions = make([]*policySession, cfg.Shards)
 		for k := range sessions {
 			if cfg.Pool != nil {
@@ -286,7 +281,7 @@ func build(cfg Config, restored []*policySession) (*Server, error) {
 					continue
 				}
 			}
-			sessions[k], err = buildSession(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha, engine.PerShardHint(cfg.SizeHint, cfg.Shards), cfg.EventQueue, nil)
+			sessions[k], err = buildSession(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha, engine.PerShardHint(cfg.SizeHint, cfg.Shards), nil)
 			if err != nil {
 				for _, s := range sessions[:k] {
 					s.finish()
@@ -736,10 +731,11 @@ func (s *Server) Drain() (*Report, error) {
 // if the post-resize checkpoint survived, the re-issue changes nothing).
 // Only future jobs feel the new count: completed and running work stays
 // attributed to the machines that did it, exactly as the paper's
-// sunk-cost argument allows.
+// sunk-cost argument allows. A count outside 1..1<<20 fails with
+// ErrShardCount.
 func (s *Server) Resize(shards int) error {
 	if shards <= 0 || shards > 1<<20 {
-		return fmt.Errorf("front: resize to %d shards", shards)
+		return fmt.Errorf("%w: %d (want 1..%d)", ErrShardCount, shards, 1<<20)
 	}
 	s.mu.Lock()
 	if s.draining {
@@ -791,7 +787,7 @@ func (s *Server) doResize(to int) error {
 
 	old := s.sessions
 	fresh := make([]*policySession, to)
-	key := sessionKey(s.cfg.Policy, s.cfg.Machines, s.cfg.Epsilon, s.cfg.Alpha, s.cfg.EventQueue)
+	key := sessionKey(s.cfg.Policy, s.cfg.Machines, s.cfg.Epsilon, s.cfg.Alpha)
 	fleet, err := engine.ResizeFleet(s.fleet, to, engine.ShardOptions{Route: s.route},
 		func(k int, _ engine.Feeder) error {
 			ps := old[k]
@@ -829,7 +825,7 @@ func (s *Server) doResize(to int) error {
 			if ps == nil {
 				var err error
 				ps, err = buildSession(s.cfg.Policy, s.cfg.Machines, s.cfg.Epsilon, s.cfg.Alpha,
-					engine.PerShardHint(s.cfg.SizeHint, to), s.cfg.EventQueue, nil)
+					engine.PerShardHint(s.cfg.SizeHint, to), nil)
 				if err != nil {
 					return nil, err
 				}
@@ -876,7 +872,7 @@ func (s *Server) shutdown() {
 		// The report is frozen and every session closed; park them for the
 		// next server generation. Put resets each session (dropping any whose
 		// reset fails) so a pool hit is indistinguishable from a fresh build.
-		key := sessionKey(s.cfg.Policy, s.cfg.Machines, s.cfg.Epsilon, s.cfg.Alpha, s.cfg.EventQueue)
+		key := sessionKey(s.cfg.Policy, s.cfg.Machines, s.cfg.Epsilon, s.cfg.Alpha)
 		for _, ps := range s.sessions {
 			s.cfg.Pool.Put(key, ps)
 		}

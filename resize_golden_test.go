@@ -22,16 +22,16 @@ type resizeShardSession struct {
 	finish func() (*sched.Outcome, error)
 }
 
-// openResizeSession constructs one shard session for the named policy with
-// the event queue under test. Parameters mirror the front door's defaults so
+// openResizeSession constructs one shard session for the named policy.
+// Parameters mirror the front door's defaults so
 // the goldens here and the serving path exercise the same session shapes.
-func openResizeSession(policy string, machines int, eq string) (*resizeShardSession, error) {
+func openResizeSession(policy string, machines int) (*resizeShardSession, error) {
 	wrap := func(feeder engine.Feeder, finish func() (*sched.Outcome, error)) *resizeShardSession {
 		return &resizeShardSession{feeder: feeder, finish: finish}
 	}
 	switch policy {
 	case "flowtime":
-		s, err := flowtime.NewSession(machines, flowtime.Options{Epsilon: 0.2, EventQueue: eq})
+		s, err := flowtime.NewSession(machines, flowtime.Options{Epsilon: 0.2})
 		if err != nil {
 			return nil, err
 		}
@@ -43,7 +43,7 @@ func openResizeSession(policy string, machines int, eq string) (*resizeShardSess
 			return res.Outcome, nil
 		}), nil
 	case "wflow":
-		s, err := wflow.NewSession(machines, wflow.Options{Epsilon: 0.25, EventQueue: eq})
+		s, err := wflow.NewSession(machines, wflow.Options{Epsilon: 0.25})
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +55,7 @@ func openResizeSession(policy string, machines int, eq string) (*resizeShardSess
 			return res.Outcome, nil
 		}), nil
 	case "speedscale":
-		s, err := speedscale.NewSession(machines, speedscale.Options{Epsilon: 0.3, Alpha: 2, EventQueue: eq})
+		s, err := speedscale.NewSession(machines, speedscale.Options{Epsilon: 0.3, Alpha: 2})
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +67,7 @@ func openResizeSession(policy string, machines int, eq string) (*resizeShardSess
 			return res.Outcome, nil
 		}), nil
 	case "srpt":
-		s, err := srpt.NewSession(machines, srpt.Options{EventQueue: eq})
+		s, err := srpt.NewSession(machines, srpt.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +79,7 @@ func openResizeSession(policy string, machines int, eq string) (*resizeShardSess
 			return res.Outcome, nil
 		}), nil
 	case "wsrpt":
-		s, err := srpt.NewWeightedSession(machines, srpt.WeightedOptions{EventQueue: eq})
+		s, err := srpt.NewWeightedSession(machines, srpt.WeightedOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -111,8 +111,7 @@ func cutSegments(jobs []sched.Job, n int) [][]sched.Job {
 }
 
 // TestResizeFleetGoldens pins the resize-equivalence contract of
-// engine.ResizeFleet across all five policies and both event-queue
-// implementations: after resizing a fleet from K to K′, the post-resize
+// engine.ResizeFleet across all five policies: after resizing a fleet from K to K′, the post-resize
 // segment must play out bit-identically to a fresh fleet born at K′ and fed
 // only that segment. The argument is by construction — retire closes every
 // old session (its outcome is sealed; no future job routes to it), and the
@@ -140,17 +139,16 @@ func TestResizeFleetGoldens(t *testing.T) {
 	route := engine.RouteByTenant(func(j *sched.Job) int { return j.ID })
 
 	policies := []string{"flowtime", "wflow", "speedscale", "srpt", "wsrpt"}
-	queues := []string{engine.EventQueueHeap, engine.EventQueueCalendar}
 	chains := [][]int{{2, 3}, {3, 2}, {2, 2}, {2, 3, 2}}
 
 	// freshOutcomes runs a fleet born at shards on one segment and returns
 	// its per-shard Outcomes — the golden for that (segment, count) pair.
-	freshOutcomes := func(t *testing.T, policy, eq string, shards int, seg []sched.Job) []*sched.Outcome {
+	freshOutcomes := func(t *testing.T, policy string, shards int, seg []sched.Job) []*sched.Outcome {
 		t.Helper()
 		sessions := make([]*resizeShardSession, shards)
 		feeders := make([]engine.Feeder, shards)
 		for k := range sessions {
-			s, err := openResizeSession(policy, machines, eq)
+			s, err := openResizeSession(policy, machines)
 			if err != nil {
 				t.Fatalf("opening fresh shard %d: %v", k, err)
 			}
@@ -174,80 +172,80 @@ func TestResizeFleetGoldens(t *testing.T) {
 		return outs
 	}
 
-	for _, eq := range queues {
-		for _, policy := range policies {
-			for _, chain := range chains {
-				name := fmt.Sprintf("%s/%s/%v", eq, policy, chain)
-				t.Run(name, func(t *testing.T) {
-					segs := cutSegments(jobs, len(chain))
+	for _, policy := range policies {
+		for _, chain := range chains {
+			// Every fleet runs on the heap event queue; the "heap/" prefix
+			// keeps the subtest ids stable.
+			name := fmt.Sprintf("heap/%s/%v", policy, chain)
+			t.Run(name, func(t *testing.T) {
+				segs := cutSegments(jobs, len(chain))
 
-					// The resized universe: one fleet carried through the
-					// whole chain, retiring and rebuilding at each boundary.
-					cur := make([]*resizeShardSession, chain[0])
-					feeders := make([]engine.Feeder, chain[0])
-					for k := range cur {
-						s, err := openResizeSession(policy, machines, eq)
-						if err != nil {
-							t.Fatalf("opening shard %d: %v", k, err)
-						}
-						cur[k], feeders[k] = s, s.feeder
+				// The resized universe: one fleet carried through the
+				// whole chain, retiring and rebuilding at each boundary.
+				cur := make([]*resizeShardSession, chain[0])
+				feeders := make([]engine.Feeder, chain[0])
+				for k := range cur {
+					s, err := openResizeSession(policy, machines)
+					if err != nil {
+						t.Fatalf("opening shard %d: %v", k, err)
 					}
-					fleet := engine.NewShardOpts(feeders, engine.ShardOptions{Route: route})
+					cur[k], feeders[k] = s, s.feeder
+				}
+				fleet := engine.NewShardOpts(feeders, engine.ShardOptions{Route: route})
 
-					got := make([][]*sched.Outcome, len(chain))
-					for i := range chain {
-						if err := fleet.FeedBatch(segs[i]); err != nil {
-							t.Fatalf("segment %d: feeding: %v", i, err)
-						}
-						got[i] = make([]*sched.Outcome, chain[i])
-						if i+1 < len(chain) {
-							next := make([]*resizeShardSession, chain[i+1])
-							var err error
-							fleet, err = engine.ResizeFleet(fleet, chain[i+1], engine.ShardOptions{Route: route},
-								func(k int, _ engine.Feeder) error {
-									out, err := cur[k].finish()
-									if err != nil {
-										return err
-									}
-									got[i][k] = out
-									return nil
-								},
-								func(k int) (engine.Feeder, error) {
-									s, err := openResizeSession(policy, machines, eq)
-									if err != nil {
-										return nil, err
-									}
-									next[k] = s
-									return s.feeder, nil
-								})
-							if err != nil {
-								t.Fatalf("segment %d: resize %d→%d: %v", i, chain[i], chain[i+1], err)
-							}
-							cur = next
-						} else {
-							if err := fleet.Wait(); err != nil {
-								t.Fatalf("closing final fleet: %v", err)
-							}
-							for k, s := range cur {
-								out, err := s.finish()
+				got := make([][]*sched.Outcome, len(chain))
+				for i := range chain {
+					if err := fleet.FeedBatch(segs[i]); err != nil {
+						t.Fatalf("segment %d: feeding: %v", i, err)
+					}
+					got[i] = make([]*sched.Outcome, chain[i])
+					if i+1 < len(chain) {
+						next := make([]*resizeShardSession, chain[i+1])
+						var err error
+						fleet, err = engine.ResizeFleet(fleet, chain[i+1], engine.ShardOptions{Route: route},
+							func(k int, _ engine.Feeder) error {
+								out, err := cur[k].finish()
 								if err != nil {
-									t.Fatalf("sealing final shard %d: %v", k, err)
+									return err
 								}
 								got[i][k] = out
+								return nil
+							},
+							func(k int) (engine.Feeder, error) {
+								s, err := openResizeSession(policy, machines)
+								if err != nil {
+									return nil, err
+								}
+								next[k] = s
+								return s.feeder, nil
+							})
+						if err != nil {
+							t.Fatalf("segment %d: resize %d→%d: %v", i, chain[i], chain[i+1], err)
+						}
+						cur = next
+					} else {
+						if err := fleet.Wait(); err != nil {
+							t.Fatalf("closing final fleet: %v", err)
+						}
+						for k, s := range cur {
+							out, err := s.finish()
+							if err != nil {
+								t.Fatalf("sealing final shard %d: %v", k, err)
 							}
+							got[i][k] = out
 						}
 					}
+				}
 
-					// Every segment of the chain must match a fleet born at
-					// that segment's count and fed only that segment.
-					for i, K := range chain {
-						want := freshOutcomes(t, policy, eq, K, segs[i])
-						if !reflect.DeepEqual(got[i], want) {
-							t.Fatalf("segment %d (fleet of %d): resized fleet's outcomes differ from a %d-born fleet fed the same segment", i, K, K)
-						}
+				// Every segment of the chain must match a fleet born at
+				// that segment's count and fed only that segment.
+				for i, K := range chain {
+					want := freshOutcomes(t, policy, K, segs[i])
+					if !reflect.DeepEqual(got[i], want) {
+						t.Fatalf("segment %d (fleet of %d): resized fleet's outcomes differ from a %d-born fleet fed the same segment", i, K, K)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
