@@ -5,77 +5,63 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/engine"
+	"repro/internal/eventq/eventqtest"
 )
 
-// TestCalendarQueueMatchesHeap pins the event-queue equivalence for the §3
-// speed-scaling scheduler — intervals carry frozen speeds, the most
-// rounding-sensitive state in the repo, so a pop-order difference between
-// the implementations would surface here immediately.
-func TestCalendarQueueMatchesHeap(t *testing.T) {
-	for n, ins := range resumeInstances() {
-		opts := func(q string) Options {
-			return Options{Epsilon: 0.2, Alpha: ins.Alpha, TrackDual: true, EventQueue: q}
-		}
-		hres, err := Run(ins, opts(engine.EventQueueHeap))
-		if err != nil {
-			t.Fatalf("instance %d: heap: %v", n, err)
-		}
-		cres, err := Run(ins, opts(engine.EventQueueCalendar))
-		if err != nil {
-			t.Fatalf("instance %d: calendar: %v", n, err)
-		}
-		if !reflect.DeepEqual(cres, hres) {
-			t.Fatalf("instance %d: calendar result differs from heap", n)
-		}
-	}
-}
-
-// TestCrossQueueSnapshotResume snapshots under one queue implementation and
-// resumes under the other; both directions must converge to the
-// uninterrupted batch Result bit-for-bit.
+// TestCrossQueueSnapshotResume resumes checkpoints in both EVTQ layouts on
+// the heap event queue: the heap's own array layout, and the pop-order
+// layout the former calendar queue wrote. Each event carries its packed ord
+// word, so either layout must pop the donor's exact order and the resumed
+// Result must match an uninterrupted batch Run bit-for-bit.
 func TestCrossQueueSnapshotResume(t *testing.T) {
-	impls := []string{engine.EventQueueHeap, engine.EventQueueCalendar}
+	resorted := false
 	for n, ins := range resumeInstances() {
-		opts := func(q string) Options {
-			return Options{Epsilon: 0.2, Alpha: ins.Alpha, EventQueue: q}
-		}
-		batch, err := Run(ins, opts(""))
+		opt := Options{Epsilon: 0.2, Alpha: ins.Alpha}
+		batch, err := Run(ins, opt)
 		if err != nil {
 			t.Fatalf("instance %d: batch: %v", n, err)
 		}
-		for _, donorQ := range impls {
-			for _, heirQ := range impls {
-				cut := len(ins.Jobs) / 2
-				donor, err := NewSession(ins.Machines, opts(donorQ))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := donor.FeedBatch(ins.Jobs[:cut]); err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if err := donor.Snapshot(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := donor.Close(); err != nil {
-					t.Fatal(err)
-				}
-				heir, err := Restore(&buf, opts(heirQ))
-				if err != nil {
-					t.Fatalf("instance %d: restore %s snapshot under %s: %v", n, donorQ, heirQ, err)
-				}
-				if err := heir.FeedBatch(ins.Jobs[cut:]); err != nil {
-					t.Fatal(err)
-				}
-				res, err := heir.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(res, batch) {
-					t.Fatalf("instance %d: %s→%s resume diverged from the uninterrupted run", n, donorQ, heirQ)
-				}
+		cut := len(ins.Jobs) / 2
+		donor, err := NewSession(ins.Machines, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := donor.FeedBatch(ins.Jobs[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := donor.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := donor.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sorted, changed, err := eventqtest.SortedLayout(buf.Bytes())
+		if err != nil {
+			t.Fatalf("instance %d: %v", n, err)
+		}
+		resorted = resorted || changed
+		for _, ckpt := range []struct {
+			layout string
+			data   []byte
+		}{{"heap", buf.Bytes()}, {"sorted", sorted}} {
+			heir, err := Restore(bytes.NewReader(ckpt.data), opt)
+			if err != nil {
+				t.Fatalf("instance %d: restore %s layout: %v", n, ckpt.layout, err)
+			}
+			if err := heir.FeedBatch(ins.Jobs[cut:]); err != nil {
+				t.Fatal(err)
+			}
+			res, err := heir.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, batch) {
+				t.Fatalf("instance %d: resume from the %s layout diverged from the uninterrupted run", n, ckpt.layout)
 			}
 		}
+	}
+	if !resorted {
+		t.Fatal("every checkpoint's heap layout was already sorted; the pop-order layout was never exercised")
 	}
 }

@@ -116,43 +116,45 @@ func TestGrowPreservesContents(t *testing.T) {
 	}
 }
 
-// TestResetRetainsCapacityAndRestartsSeq covers the Reset contract: emptied,
-// seq back to zero (fresh-queue pop order), and no growth allocations on
-// refill.
+// TestResetRetainsCapacityAndRestartsSeq covers the Reset contract of the
+// 4-ary heap: emptied, seq back to zero (fresh-queue pop order), and no
+// growth allocations on refill.
 func TestResetRetainsCapacityAndRestartsSeq(t *testing.T) {
-	var q Queue
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		q.Push(Event{Time: float64(rng.Intn(20)), Kind: Kind(rng.Intn(3)), Job: int32(i)})
-	}
-	for i := 0; i < 100; i++ {
-		q.Pop()
-	}
-	q.Reset()
-	if q.Len() != 0 {
-		t.Fatalf("Reset left %d events", q.Len())
-	}
-	// A reset queue must behave exactly like a fresh one: same-time pushes
-	// pop in insertion order starting from seq 0.
-	q.Push(Event{Time: 1, Kind: KindArrival, Job: 10})
-	q.Push(Event{Time: 1, Kind: KindArrival, Job: 11})
-	if e := q.Pop(); e.Job != 10 {
-		t.Fatalf("post-Reset seq order broken: got job %d", e.Job)
-	}
-	q.Pop()
-	// Refill must not allocate: capacity was retained.
-	allocs := testing.AllocsPerRun(3, func() {
-		q.Reset()
-		for i := 0; i < 400; i++ {
-			q.Push(Event{Time: float64(i % 20), Kind: KindArrival, Job: int32(i)})
+	t.Run("heap", func(t *testing.T) {
+		var q Queue
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 500; i++ {
+			q.Push(Event{Time: float64(rng.Intn(20)), Kind: Kind(rng.Intn(3)), Job: int32(i)})
 		}
-		for q.Len() > 0 {
+		for i := 0; i < 100; i++ {
 			q.Pop()
 		}
+		q.Reset()
+		if q.Len() != 0 {
+			t.Fatalf("Reset left %d events", q.Len())
+		}
+		// A reset queue must behave exactly like a fresh one: same-time pushes
+		// pop in insertion order starting from seq 0.
+		q.Push(Event{Time: 1, Kind: KindArrival, Job: 10})
+		q.Push(Event{Time: 1, Kind: KindArrival, Job: 11})
+		if e := q.Pop(); e.Job != 10 {
+			t.Fatalf("post-Reset seq order broken: got job %d", e.Job)
+		}
+		q.Pop()
+		// Refill must not allocate: capacity was retained.
+		allocs := testing.AllocsPerRun(3, func() {
+			q.Reset()
+			for i := 0; i < 400; i++ {
+				q.Push(Event{Time: float64(i % 20), Kind: KindArrival, Job: int32(i)})
+			}
+			for q.Len() > 0 {
+				q.Pop()
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("refill after Reset allocated %.1f times per run", allocs)
+		}
 	})
-	if allocs > 0 {
-		t.Fatalf("refill after Reset allocated %.1f times per run", allocs)
-	}
 }
 
 // FuzzQueueVsSorted is the differential fuzz of the heap against a plain
