@@ -54,11 +54,13 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/admission"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/front"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
@@ -67,7 +69,7 @@ import (
 func main() {
 	var (
 		listen   = flag.String("listen", ":8080", "HTTP listen address")
-		policy   = flag.String("policy", "flowtime", "flowtime|wflow|speedscale|srpt|wsrpt")
+		policy   = flag.String("policy", "flowtime", strings.Join(core.Names(), "|"))
 		eps      = flag.Float64("eps", 0.2, "scheduler rejection parameter ε")
 		alpha    = flag.Float64("alpha", 0, "power exponent (speedscale)")
 		machines = flag.Int("machines", 8, "machines per shard session")

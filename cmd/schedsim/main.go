@@ -56,13 +56,14 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/core/energymin"
 	"repro/internal/core/flowtime"
-	"repro/internal/core/speedscale"
 	"repro/internal/core/srpt"
 	"repro/internal/core/wflow"
 	"repro/internal/engine"
@@ -77,7 +78,7 @@ import (
 
 func main() {
 	var (
-		policy   = flag.String("policy", "flowtime", "flowtime|wflow|speedscale|srpt|wsrpt|energymin|avr|greedy|fcfs|leastloaded|speedaug|immediate")
+		policy   = flag.String("policy", "flowtime", strings.Join(core.Names(), "|")+"|energymin|avr|greedy|fcfs|leastloaded|speedaug|immediate")
 		eps      = flag.Float64("eps", 0.2, "rejection parameter ε")
 		alpha    = flag.Float64("alpha", 0, "power exponent override (0: use trace)")
 		epsS     = flag.Float64("epsS", 0.2, "speed augmentation (speedaug)")
@@ -144,42 +145,6 @@ func main() {
 	var out *sched.Outcome
 	mode := sched.ValidateMode{}
 	switch *policy {
-	case "flowtime":
-		res, err := flowtime.Run(ins, flowtime.Options{Epsilon: *eps})
-		if err != nil {
-			fatal(err)
-		}
-		out = res.Outcome
-		mode.RequireUnitSpeed = true
-	case "wflow":
-		res, err := wflow.Run(ins, wflow.Options{Epsilon: *eps})
-		if err != nil {
-			fatal(err)
-		}
-		out = res.Outcome
-		mode.RequireUnitSpeed = true
-	case "speedscale":
-		res, err := speedscale.Run(ins, speedscale.Options{Epsilon: *eps, Alpha: *alpha})
-		if err != nil {
-			fatal(err)
-		}
-		out = res.Outcome
-	case "srpt":
-		res, err := srpt.Run(ins, srpt.Options{})
-		if err != nil {
-			fatal(err)
-		}
-		out = res.Outcome
-		mode.AllowPreemption = true
-		mode.RequireUnitSpeed = true
-	case "wsrpt":
-		res, err := srpt.RunWeighted(ins, srpt.WeightedOptions{})
-		if err != nil {
-			fatal(err)
-		}
-		out = res.Outcome
-		mode.AllowMigration = true
-		mode.RequireUnitSpeed = true
 	case "energymin", "avr":
 		res, err := energymin.Run(ins, energymin.Options{Alpha: *alpha, FullWindowOnly: *policy == "avr"})
 		if err != nil {
@@ -199,8 +164,13 @@ func main() {
 	case "immediate":
 		out, err = baseline.ImmediateReject(ins, *eps, 3)
 	default:
-		fmt.Fprintf(os.Stderr, "schedsim: unknown policy %q\n", *policy)
-		os.Exit(2)
+		pol, lerr := core.Lookup(*policy)
+		if lerr != nil {
+			fmt.Fprintf(os.Stderr, "schedsim: unknown policy %q\n", *policy)
+			os.Exit(2)
+		}
+		out, err = runSession(pol, ins, *eps, *alpha)
+		mode = pol.Mode
 	}
 	if err != nil {
 		fatal(err)
@@ -248,23 +218,29 @@ func main() {
 	}
 }
 
+// runSession runs a registry policy over the whole instance in one batch, as
+// the policy package's own Run does: storage sized for the instance, and α
+// taken from the trace unless -alpha overrides it.
+func runSession(pol core.Policy, ins *sched.Instance, eps, alpha float64) (*sched.Outcome, error) {
+	if alpha == 0 {
+		alpha = ins.Alpha
+	}
+	s, err := pol.Open(ins.Machines, core.Params{Epsilon: eps, Alpha: alpha, SizeHint: len(ins.Jobs)}, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.FeedBatch(ins.Jobs); err != nil {
+		return nil, err
+	}
+	return s.Finish()
+}
+
 // jobFact is the per-job footprint kept for metrics in stream mode: the
 // scheduler itself never sees an instance, only the fed jobs.
 type jobFact struct {
 	id      int
 	release float64
 	weight  float64
-}
-
-// streamSession is what the checkpointing stream loop needs of a scheduler
-// session: batched feeding, freezing to a durable snapshot, and the count of
-// jobs already absorbed (which, on a resumed session, is the number of trace
-// jobs to skip).
-type streamSession interface {
-	engine.BatchFeeder
-	Snapshot(w io.Writer) error
-	Fed() int
-	SetTelemetry(t engine.Telemetry)
 }
 
 // streamCheckpoints carries the checkpoint/resume configuration of a
@@ -343,6 +319,11 @@ func streamProgress(reg *obs.Registry, every time.Duration, stop <-chan struct{}
 }
 
 func runStream(policy string, eps, alpha float64, batch int, path, dump string, progress time.Duration, ck streamCheckpoints) {
+	pol, err := core.Lookup(policy)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "schedsim: policy %q does not support -stream (use %s)\n", policy, strings.Join(core.Names(), "|"))
+		os.Exit(2)
+	}
 	in := io.Reader(os.Stdin)
 	name := "stdin"
 	if path != "" && path != "-" {
@@ -359,7 +340,7 @@ func runStream(policy string, eps, alpha float64, batch int, path, dump string, 
 		fatal(err)
 	}
 
-	var resumeFrom io.ReadCloser
+	var restore io.Reader // nil starts a fresh session
 	if ck.Resume != "" {
 		if snapshot.LineageExists(ck.Resume) {
 			payload, info, err := snapshot.RecoverLineage(ck.Resume)
@@ -370,130 +351,23 @@ func runStream(policy string, eps, alpha float64, batch int, path, dump string, 
 				fmt.Fprintf(os.Stderr, "schedsim: lineage fell back to seq %d (%d newer checkpoints dropped as corrupt)\n",
 					info.Seq, info.Dropped)
 			}
-			resumeFrom = io.NopCloser(bytes.NewReader(payload))
+			restore = bytes.NewReader(payload)
 		} else {
 			f, err := os.Open(ck.Resume)
 			if err != nil {
 				fatal(err)
 			}
-			resumeFrom = f
+			defer f.Close()
+			restore = f
 		}
 	}
 
-	var (
-		fd     streamSession
-		finish func() (*sched.Outcome, error)
-	)
-	switch policy {
-	case "flowtime":
-		opt := flowtime.Options{Epsilon: eps, SizeHint: r.Jobs()}
-		var s *flowtime.Session
-		var err error
-		if resumeFrom != nil {
-			s, err = flowtime.Restore(resumeFrom, opt)
-		} else {
-			s, err = flowtime.NewSession(r.Machines(), opt)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fd = s
-		finish = func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}
-	case "wflow":
-		opt := wflow.Options{Epsilon: eps, SizeHint: r.Jobs()}
-		var s *wflow.Session
-		var err error
-		if resumeFrom != nil {
-			s, err = wflow.Restore(resumeFrom, opt)
-		} else {
-			s, err = wflow.NewSession(r.Machines(), opt)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fd = s
-		finish = func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}
-	case "speedscale":
-		a := alpha
-		if a == 0 {
-			a = r.Alpha()
-		}
-		opt := speedscale.Options{Epsilon: eps, Alpha: a, SizeHint: r.Jobs()}
-		var s *speedscale.Session
-		var err error
-		if resumeFrom != nil {
-			s, err = speedscale.Restore(resumeFrom, opt)
-		} else {
-			s, err = speedscale.NewSession(r.Machines(), opt)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fd = s
-		finish = func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}
-	case "srpt":
-		opt := srpt.Options{SizeHint: r.Jobs()}
-		var s *srpt.Session
-		var err error
-		if resumeFrom != nil {
-			s, err = srpt.Restore(resumeFrom, opt)
-		} else {
-			s, err = srpt.NewSession(r.Machines(), opt)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fd = s
-		finish = func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}
-	case "wsrpt":
-		var s *srpt.WeightedSession
-		var err error
-		if resumeFrom != nil {
-			s, err = srpt.RestoreWeighted(resumeFrom, srpt.WeightedOptions{})
-		} else {
-			s, err = srpt.NewWeightedSession(r.Machines(), srpt.WeightedOptions{SizeHint: r.Jobs()})
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fd = s
-		finish = func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "schedsim: policy %q does not support -stream (use flowtime|wflow|speedscale|srpt|wsrpt)\n", policy)
-		os.Exit(2)
+	if alpha == 0 {
+		alpha = r.Alpha()
 	}
-	if resumeFrom != nil {
-		resumeFrom.Close()
+	fd, err := pol.Open(r.Machines(), core.Params{Epsilon: eps, Alpha: alpha, SizeHint: r.Jobs()}, restore)
+	if err != nil {
+		fatal(err)
 	}
 
 	// -progress wires the session to a private obs registry and prints a
@@ -652,7 +526,7 @@ func runStream(policy string, eps, alpha float64, batch int, path, dump string, 
 	if skip > 0 {
 		fatal(fmt.Errorf("snapshot absorbed %d more jobs than the trace provides — resuming against a different trace?", skip))
 	}
-	out, err := finish()
+	out, err := fd.Finish()
 	if err != nil {
 		fatal(err)
 	}
@@ -825,7 +699,7 @@ func runCompare(policy string, eps float64, path string) {
 // written to a sibling temp file, fsynced, and renamed over path, so a crash
 // mid-write leaves the previous checkpoint intact and a reader never sees a
 // half-written file.
-func writeCheckpoint(path string, s streamSession) error {
+func writeCheckpoint(path string, s core.Stream) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {

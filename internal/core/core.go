@@ -15,4 +15,9 @@
 // Each subpackage is self-contained: it implements the online algorithm, the
 // dual-fitting bookkeeping its analysis relies on, and numeric feasibility
 // audits used by the test suite and the experiment harness.
+//
+// Package core itself holds the registry of session-backed policies
+// (flowtime, wflow, speedscale and the srpt/wsrpt comparators): one table
+// entry per policy, through which schedsim, the front door and the goldens
+// build, restore and finish sessions (see Lookup).
 package core

@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzSnapshotRestore drives the full engine restore path — container
-// framing, every engine section, the structural treap decode and the policy
-// state — over mutated snapshot bytes. The contract under test is the
+// framing, every engine section, the ostree.Flat B-tree decode and the
+// policy state — over mutated snapshot bytes. The contract under test is the
 // acceptance criterion of the checkpoint subsystem: corrupted or truncated
 // snapshots must fail loudly with an error, never panic, never hang, and
 // never misparse into a session that silently diverges. Inputs that restore

@@ -166,10 +166,6 @@ func (p *spolicy) LoadState(d *snapshot.Decoder) error {
 	return d.Err()
 }
 
-// Snapshot freezes the streaming session into w (read-only; resumable
-// bit-identically via Restore).
-func (s *Session) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
-
 // Restore reconstructs a streaming session from a snapshot written by
 // Session.Snapshot. opt must resolve to the donor's (ε, α, γ, TrackDual) —
 // Alpha is required, exactly as in NewSession, and γ defaults the same way —
@@ -196,5 +192,5 @@ func Restore(r io.Reader, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{es: es, p: p}, nil
+	return &Session{engineSession: es, p: p}, nil
 }

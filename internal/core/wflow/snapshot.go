@@ -83,10 +83,6 @@ func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 	return d.Err()
 }
 
-// Snapshot freezes the streaming session into w (see flowtime.Session.Snapshot
-// for the contract: read-only, resumable bit-identically via Restore).
-func (s *Session) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
-
 // Restore reconstructs a streaming session from a snapshot written by
 // Session.Snapshot. opt.Epsilon must match the donor's (checked against the
 // snapshot's echo).
@@ -102,5 +98,5 @@ func Restore(r io.Reader, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{es: es, p: p}, nil
+	return &Session{engineSession: es, p: p}, nil
 }

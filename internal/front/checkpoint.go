@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/admission"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/snapshot"
 )
@@ -108,6 +109,10 @@ func (s *Server) snapshotTo(w io.Writer) error {
 // everything after converges to the uninterrupted run's report.
 func Restore(cfg Config, r io.Reader) (*Server, error) {
 	cfg.defaults()
+	pol, err := core.Lookup(cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
 	sr, err := snapshot.NewReader(r)
 	if err != nil {
 		return nil, err
@@ -234,9 +239,9 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 		return nil, err
 	}
 
-	sessions := make([]*policySession, shards)
+	sessions := make([]*core.Session, shards)
 	got, err := engine.RestoreFleet(bytes.NewReader(fleetBytes), func(k int, r io.Reader) error {
-		ps, err := buildSession(policy, machines, eps, alpha, 0, r)
+		ps, err := pol.Open(machines, core.Params{Epsilon: eps, Alpha: alpha}, r)
 		if err != nil {
 			return err
 		}
@@ -250,7 +255,7 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 		return nil, fmt.Errorf("front: checkpoint header declares %d shards, fleet snapshot holds %d", shards, got)
 	}
 
-	s, err := build(cfg, sessions)
+	s, err := build(cfg, pol, sessions)
 	if err != nil {
 		return nil, err
 	}

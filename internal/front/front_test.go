@@ -8,12 +8,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
 	"repro/internal/chaos"
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -192,8 +195,17 @@ func TestDuplicateSuppression(t *testing.T) {
 // checkpointing every 64 fed jobs absorbs a prefix, "dies" (abandoned), a
 // new server restores from the periodic checkpoint and gets the whole
 // stream replayed — the final report must be byte-identical to an
-// uninterrupted run's.
+// uninterrupted run's. It runs once per registered policy, so the front
+// door's build and restore paths are covered for each.
 func TestCheckpointResume(t *testing.T) {
+	for _, policy := range core.Names() {
+		t.Run(policy, func(t *testing.T) {
+			testCheckpointResume(t, policy)
+		})
+	}
+}
+
+func testCheckpointResume(t *testing.T, policy string) {
 	dir := t.TempDir()
 	machines := 2
 	jobs := map[int][]sched.Job{
@@ -203,6 +215,10 @@ func TestCheckpointResume(t *testing.T) {
 
 	// Uninterrupted reference run.
 	cfg := testConfig(machines, 2)
+	cfg.Policy = policy
+	if policy == "speedscale" {
+		cfg.Alpha = 2
+	}
 	cfg.AwaitTenants = 2
 	ref, err := New(cfg)
 	if err != nil {
@@ -278,6 +294,43 @@ func TestCheckpointResume(t *testing.T) {
 	gotB, _ := json.Marshal(got)
 	if !bytes.Equal(gotB, wantB) {
 		t.Fatalf("resumed report diverged from the uninterrupted run:\n%s\nvs\n%s", gotB, wantB)
+	}
+}
+
+// TestNewRefusesNonSessionPolicy checks that New rejects a policy outside
+// the registry before it builds or draws any session: even with a warm
+// session parked in the pool under that policy's key, New fails, names every
+// servable policy, and leaves the parked session where it was.
+func TestNewRefusesNonSessionPolicy(t *testing.T) {
+	cfg := testConfig(2, 2)
+	cfg.Policy = "energymin"
+	cfg.Pool = engine.NewSessionPool(2)
+	flow, err := core.Lookup("flowtime")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, err := flow.Open(cfg.Machines, core.Params{Epsilon: cfg.Epsilon}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parked.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	key := sessionKey(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha)
+	if err := cfg.Pool.Put(key, parked); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(cfg)
+	if err == nil {
+		t.Fatal("New served a policy outside the registry")
+	}
+	for _, name := range core.Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("New error %q does not name %s", err, name)
+		}
+	}
+	if n := cfg.Pool.Idle(key); n != 1 {
+		t.Fatalf("New drew from the pool before refusing the policy: %d parked sessions left, want 1", n)
 	}
 }
 

@@ -63,6 +63,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -71,7 +72,7 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	Policy   string  // flowtime|wflow|speedscale|srpt|wsrpt
+	Policy   string  // a session policy of the internal/core registry (core.Names)
 	Epsilon  float64 // scheduler rejection parameter ε
 	Alpha    float64 // power exponent (speedscale)
 	Machines int     // machines per shard session
@@ -205,8 +206,9 @@ type Server struct {
 
 	// Sequencer-owned state (single goroutine; read by others only after
 	// the drained barrier).
+	pol       core.Policy
 	fleet     *engine.Shard
-	sessions  []*policySession
+	sessions  []*core.Session
 	adm       *admission.Controller
 	decided   map[int]struct{} // gid of every acked verdict (fed or pre-rejected)
 	preRej    []preReject
@@ -255,7 +257,11 @@ type verdictRow struct {
 // New builds a fresh server fleet and starts its sequencer.
 func New(cfg Config) (*Server, error) {
 	cfg.defaults()
-	s, err := build(cfg, nil)
+	pol, err := core.Lookup(cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	s, err := build(cfg, pol, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +271,7 @@ func New(cfg Config) (*Server, error) {
 
 // build assembles the server around pre-restored sessions (nil for fresh).
 // The caller starts the sequencer once any restore-time state is in place.
-func build(cfg Config, restored []*policySession) (*Server, error) {
+func build(cfg Config, pol core.Policy, restored []*core.Session) (*Server, error) {
 	adm, err := admission.New(cfg.Admission)
 	if err != nil {
 		return nil, err
@@ -273,18 +279,18 @@ func build(cfg Config, restored []*policySession) (*Server, error) {
 	sessions := restored
 	if sessions == nil {
 		key := sessionKey(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha)
-		sessions = make([]*policySession, cfg.Shards)
+		sessions = make([]*core.Session, cfg.Shards)
 		for k := range sessions {
 			if cfg.Pool != nil {
-				if ps, ok := cfg.Pool.Get(key).(*policySession); ok {
+				if ps, ok := cfg.Pool.Get(key).(*core.Session); ok {
 					sessions[k] = ps
 					continue
 				}
 			}
-			sessions[k], err = buildSession(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha, engine.PerShardHint(cfg.SizeHint, cfg.Shards), nil)
+			sessions[k], err = openSession(pol, &cfg, engine.PerShardHint(cfg.SizeHint, cfg.Shards))
 			if err != nil {
 				for _, s := range sessions[:k] {
-					s.finish()
+					s.Finish()
 				}
 				return nil, err
 			}
@@ -301,6 +307,7 @@ func build(cfg Config, restored []*policySession) (*Server, error) {
 	route := engine.RouteByTenant(func(j *sched.Job) int { return j.ID >> 32 })
 	s := &Server{
 		cfg:       cfg,
+		pol:       pol,
 		route:     route,
 		streams:   make(map[int]*Stream),
 		await:     cfg.AwaitTenants,
@@ -326,7 +333,7 @@ func build(cfg Config, restored []*policySession) (*Server, error) {
 		l, err := snapshot.OpenLineage(cfg.CheckpointPath, lineageOptions(cfg))
 		if err != nil {
 			for _, ps := range sessions {
-				ps.finish()
+				ps.Finish()
 			}
 			return nil, err
 		}
@@ -786,7 +793,7 @@ func (s *Server) doResize(to int) error {
 	s.crashPoint("pre")
 
 	old := s.sessions
-	fresh := make([]*policySession, to)
+	fresh := make([]*core.Session, to)
 	key := sessionKey(s.cfg.Policy, s.cfg.Machines, s.cfg.Epsilon, s.cfg.Alpha)
 	fleet, err := engine.ResizeFleet(s.fleet, to, engine.ShardOptions{Route: s.route},
 		func(k int, _ engine.Feeder) error {
@@ -795,7 +802,7 @@ func (s *Server) doResize(to int) error {
 			ps.EachFed(func(j *sched.Job) {
 				facts[j.ID] = jobFact{release: j.Release, weight: j.Weight}
 			})
-			out, err := ps.finish()
+			out, err := ps.Finish()
 			if err != nil {
 				return err
 			}
@@ -818,14 +825,13 @@ func (s *Server) doResize(to int) error {
 			return nil
 		},
 		func(k int) (engine.Feeder, error) {
-			var ps *policySession
+			var ps *core.Session
 			if s.cfg.Pool != nil {
-				ps, _ = s.cfg.Pool.Get(key).(*policySession)
+				ps, _ = s.cfg.Pool.Get(key).(*core.Session)
 			}
 			if ps == nil {
 				var err error
-				ps, err = buildSession(s.cfg.Policy, s.cfg.Machines, s.cfg.Epsilon, s.cfg.Alpha,
-					engine.PerShardHint(s.cfg.SizeHint, to), nil)
+				ps, err = openSession(s.pol, &s.cfg, engine.PerShardHint(s.cfg.SizeHint, to))
 				if err != nil {
 					return nil, err
 				}
@@ -919,7 +925,7 @@ func (s *Server) buildReport() (*Report, error) {
 	rows := make([]verdictRow, 0, len(facts)+len(s.carried))
 	makespan := s.carriedMakespan
 	for _, ps := range s.sessions {
-		out, err := ps.finish()
+		out, err := ps.Finish()
 		if err != nil {
 			return nil, err
 		}

@@ -6,19 +6,16 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core/flowtime"
-	"repro/internal/core/speedscale"
-	"repro/internal/core/srpt"
-	"repro/internal/core/wflow"
-	"repro/internal/sched"
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
-// goldenSession is the slice of the five policies' session APIs the dense
-// outcome goldens need: batched feeding, a mid-stream checkpoint, and a
-// close that surfaces the Outcome.
-type goldenSession interface {
-	FeedBatch(jobs []sched.Job) error
+// goldenParams are the per-policy session parameters of the outcome and
+// resize goldens, the front door's defaults; srpt and wsrpt take none.
+var goldenParams = map[string]core.Params{
+	"flowtime":   {Epsilon: 0.2},
+	"wflow":      {Epsilon: 0.25},
+	"speedscale": {Epsilon: 0.3, Alpha: 2},
 }
 
 // TestDenseOutcomeGoldens pins the dense outcome-recording path (the
@@ -38,168 +35,23 @@ func TestDenseOutcomeGoldens(t *testing.T) {
 	ins := workload.Random(cfg)
 	ins.Alpha = 2 // speedscale needs a power exponent; the others ignore it
 
-	type harness struct {
-		open    func() (goldenSession, func() (*sched.Outcome, error), func(io.Writer) error, error)
-		restore func(io.Reader) (goldenSession, func() (*sched.Outcome, error), error)
-	}
-	policies := map[string]harness{
-		"flowtime": {
-			open: func() (goldenSession, func() (*sched.Outcome, error), func(io.Writer) error, error) {
-				s, err := flowtime.NewSession(m, flowtime.Options{Epsilon: 0.2})
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, s.Snapshot, nil
-			},
-			restore: func(r io.Reader) (goldenSession, func() (*sched.Outcome, error), error) {
-				s, err := flowtime.Restore(r, flowtime.Options{Epsilon: 0.2})
-				if err != nil {
-					return nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, nil
-			},
-		},
-		"wflow": {
-			open: func() (goldenSession, func() (*sched.Outcome, error), func(io.Writer) error, error) {
-				s, err := wflow.NewSession(m, wflow.Options{Epsilon: 0.25})
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, s.Snapshot, nil
-			},
-			restore: func(r io.Reader) (goldenSession, func() (*sched.Outcome, error), error) {
-				s, err := wflow.Restore(r, wflow.Options{Epsilon: 0.25})
-				if err != nil {
-					return nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, nil
-			},
-		},
-		"speedscale": {
-			open: func() (goldenSession, func() (*sched.Outcome, error), func(io.Writer) error, error) {
-				s, err := speedscale.NewSession(m, speedscale.Options{Epsilon: 0.3, Alpha: 2})
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, s.Snapshot, nil
-			},
-			restore: func(r io.Reader) (goldenSession, func() (*sched.Outcome, error), error) {
-				s, err := speedscale.Restore(r, speedscale.Options{Epsilon: 0.3, Alpha: 2})
-				if err != nil {
-					return nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, nil
-			},
-		},
-		"srpt": {
-			open: func() (goldenSession, func() (*sched.Outcome, error), func(io.Writer) error, error) {
-				s, err := srpt.NewSession(m, srpt.Options{})
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, s.Snapshot, nil
-			},
-			restore: func(r io.Reader) (goldenSession, func() (*sched.Outcome, error), error) {
-				s, err := srpt.Restore(r, srpt.Options{})
-				if err != nil {
-					return nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, nil
-			},
-		},
-		"wsrpt": {
-			open: func() (goldenSession, func() (*sched.Outcome, error), func(io.Writer) error, error) {
-				s, err := srpt.NewWeightedSession(m, srpt.WeightedOptions{})
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, s.Snapshot, nil
-			},
-			restore: func(r io.Reader) (goldenSession, func() (*sched.Outcome, error), error) {
-				s, err := srpt.RestoreWeighted(r, srpt.WeightedOptions{})
-				if err != nil {
-					return nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, nil
-			},
-		},
-	}
-
 	// Split points for the batch-split feed and the checkpoint cut; jobs are
 	// release-sorted, so any slice boundary is a legal FeedBatch boundary.
 	splits := []int{0, 113, 250, 251, 480, len(ins.Jobs)}
 
-	for name, h := range policies {
-		t.Run(name, func(t *testing.T) {
+	for _, pol := range core.Policies() {
+		p := goldenParams[pol.Name]
+		open := func(restore io.Reader) (*core.Session, error) { return pol.Open(m, p, restore) }
+		t.Run(pol.Name, func(t *testing.T) {
 			// Golden: one session, one FeedBatch.
-			s, closeFn, _, err := h.open()
+			s, err := open(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := s.FeedBatch(ins.Jobs); err != nil {
 				t.Fatal(err)
 			}
-			golden, err := closeFn()
+			golden, err := s.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +61,7 @@ func TestDenseOutcomeGoldens(t *testing.T) {
 			}
 
 			// Batch-split: the same jobs across several FeedBatch calls.
-			s, closeFn, _, err = h.open()
+			s, err = open(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +70,7 @@ func TestDenseOutcomeGoldens(t *testing.T) {
 					t.Fatalf("split %d: %v", i, err)
 				}
 			}
-			split, err := closeFn()
+			split, err := s.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +80,7 @@ func TestDenseOutcomeGoldens(t *testing.T) {
 
 			// Kill-resume: checkpoint mid-stream, restore, feed the rest.
 			cut := splits[2]
-			s, _, snap, err := h.open()
+			s, err = open(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,17 +88,17 @@ func TestDenseOutcomeGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := snap(&buf); err != nil {
+			if err := s.Snapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
-			rs, closeFn, err := h.restore(&buf)
+			rs, err := open(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := rs.FeedBatch(ins.Jobs[cut:]); err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := closeFn()
+			resumed, err := rs.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
