@@ -5,7 +5,7 @@ package repro
 // run (on the first iteration) so `go test -bench=. -benchmem` reproduces the
 // full evaluation; subsequent iterations measure the cost of regenerating it.
 //
-// Micro-benchmarks for the hot paths (dispatch, treap, LP pivots) live in
+// Micro-benchmarks for the hot paths (dispatch, rank index, LP pivots) live in
 // their packages; the additional benchmarks below measure the end-to-end
 // scheduler throughput that E10 reports.
 

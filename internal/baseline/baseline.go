@@ -138,7 +138,7 @@ func ImmediateReject(ins *sched.Instance, eps, outlier float64) (*sched.Outcome,
 }
 
 type bmachine struct {
-	pending   *ostree.Tree
+	pending   *ostree.Flat
 	queueWork float64 // Σ p over pending (on this machine)
 
 	running  int
@@ -169,12 +169,12 @@ func Run(ins *sched.Instance, cfg Config) (*sched.Outcome, error) {
 	}
 	out := sched.NewOutcomeSized(len(ins.Jobs))
 	// Events carry compact job indices (always < n, so they fit the int32
-	// payload regardless of the instance's ID space); treap keys and the
+	// payload regardless of the instance's ID space); pending keys and the
 	// outcome keep real job IDs.
 	ix := ins.Index()
 	machines := make([]*bmachine, ins.Machines)
 	for i := range machines {
-		machines[i] = &bmachine{pending: ostree.New(uint64(0xabcd01) + uint64(i)), running: -1}
+		machines[i] = &bmachine{pending: ostree.NewFlat(), running: -1}
 	}
 	var q eventq.Queue
 	q.Grow(2 * len(ins.Jobs))

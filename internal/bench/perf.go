@@ -15,7 +15,7 @@ func init() {
 	register(Experiment{
 		ID: "E10", Kind: "table",
 		Title: "Scheduler overhead: dispatch cost scaling",
-		Claim: "design: O(m log n) dispatch via the order-statistic treap",
+		Claim: "design: each arrival dispatches with m rank queries on the flat order-statistic index",
 		Run:   runE10,
 	})
 }

@@ -167,25 +167,11 @@ func newPolicy(opt Options, machines, hint int) *policy {
 		p.lambda = make([]float64, 0, hint)
 	}
 	p.mach = make([]machine, machines)
+	h := ostree.PendingHint(hint, machines)
 	for i := range p.mach {
-		p.mach[i] = machine{pending: ostree.NewFlatHint(pendingHint(hint, machines))}
+		p.mach[i] = machine{pending: ostree.NewFlatHint(h)}
 	}
 	return p
-}
-
-// pendingHint sizes a per-machine pending index for a run of about hint jobs
-// on the given machine count: the expected per-machine share, capped so a
-// huge run hint cannot balloon the presized arenas (pending queues drain;
-// their peak is load-, not run-length-bound).
-func pendingHint(hint, machines int) int {
-	if hint <= 0 || machines <= 0 {
-		return 0
-	}
-	h := hint / machines
-	if h > 2048 {
-		h = 2048
-	}
-	return h
 }
 
 func (p *policy) Bind(c *engine.Core) { p.c = c }

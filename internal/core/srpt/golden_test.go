@@ -3,6 +3,8 @@ package srpt
 import (
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/eventq"
@@ -12,10 +14,12 @@ import (
 )
 
 // legacyPreemptiveSRPT is the pre-engine baseline.PreemptiveSRPT event loop,
-// preserved verbatim as the reference of the golden equivalence test below.
-// It is the last private event loop the repo ever had; the engine-hosted
-// policy in srpt.go must reproduce its outcomes bit for bit, which is what
-// licensed deleting it from internal/baseline.
+// kept as the reference of the golden equivalence test below. It is the last
+// private event loop the repo ever had; the engine-hosted policy in srpt.go
+// must reproduce its outcomes bit for bit, which is what licensed deleting it
+// from internal/baseline. Each machine's waiting queue is a plain sorted key
+// slice with a running backlog sum, so the reference shares no code with the
+// rank index the policy uses.
 func legacyPreemptiveSRPT(ins *sched.Instance) (*sched.Outcome, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
@@ -24,7 +28,10 @@ func legacyPreemptiveSRPT(ins *sched.Instance) (*sched.Outcome, error) {
 	ix := ins.Index()
 
 	type pmachine struct {
-		waiting *ostree.Tree // Key.P = frozen remaining time
+		waiting []ostree.Key // ascending; Key.P = frozen remaining time
+		// backlog is Σ Key.P over waiting, added on insert and subtracted
+		// on removal in event order; an empty queue has no backlog.
+		backlog float64
 
 		running  int
 		runStart float64
@@ -33,7 +40,7 @@ func legacyPreemptiveSRPT(ins *sched.Instance) (*sched.Outcome, error) {
 	}
 	machines := make([]*pmachine, ins.Machines)
 	for i := range machines {
-		machines[i] = &pmachine{waiting: ostree.New(uint64(0x5e11) + uint64(i)), running: -1}
+		machines[i] = &pmachine{running: -1}
 	}
 	var q eventq.Queue
 	q.Grow(2 * len(ins.Jobs))
@@ -50,9 +57,17 @@ func legacyPreemptiveSRPT(ins *sched.Instance) (*sched.Outcome, error) {
 		m.runSeq = seq
 		q.Push(eventq.Event{Time: t + rem, Kind: eventq.KindCompletion, Job: int32(ix.Of(id)), Machine: int32(i), Version: int32(seq)})
 	}
+	bank := func(m *pmachine, k ostree.Key) {
+		at := sort.Search(len(m.waiting), func(x int) bool { return k.Less(m.waiting[x]) })
+		m.waiting = slices.Insert(m.waiting, at, k)
+		m.backlog += k.P
+	}
 	startNext := func(i int, t float64) {
 		m := machines[i]
-		if key, ok := m.waiting.DeleteMin(); ok {
+		if len(m.waiting) > 0 {
+			key := m.waiting[0]
+			m.waiting = m.waiting[1:]
+			m.backlog -= key.P
 			start(i, t, key.ID, key.P)
 		}
 	}
@@ -64,7 +79,10 @@ func legacyPreemptiveSRPT(ins *sched.Instance) (*sched.Outcome, error) {
 			best, bestCost := 0, math.Inf(1)
 			for i := 0; i < ins.Machines; i++ {
 				m := machines[i]
-				cost := m.waiting.SumP() + j.Proc[i]
+				cost := j.Proc[i]
+				if len(m.waiting) > 0 {
+					cost += m.backlog
+				}
 				if m.running != -1 {
 					cost += m.runRem - (e.Time - m.runStart)
 				}
@@ -87,10 +105,10 @@ func legacyPreemptiveSRPT(ins *sched.Instance) (*sched.Outcome, error) {
 						Job: m.running, Machine: best, Start: m.runStart, End: e.Time, Speed: 1,
 					})
 				}
-				m.waiting.Insert(ostree.Key{P: curRem, Release: ix.JobByID(m.running).Release, ID: m.running})
+				bank(m, ostree.Key{P: curRem, Release: ix.JobByID(m.running).Release, ID: m.running})
 				start(best, e.Time, j.ID, p)
 			} else {
-				m.waiting.Insert(ostree.Key{P: p, Release: j.Release, ID: j.ID})
+				bank(m, ostree.Key{P: p, Release: j.Release, ID: j.ID})
 			}
 		case eventq.KindCompletion:
 			m := machines[e.Machine]

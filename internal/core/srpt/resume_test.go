@@ -2,7 +2,9 @@ package srpt
 
 import (
 	"bytes"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -18,7 +20,7 @@ func resumeInstances() []*sched.Instance {
 		out = append(out, workload.Random(cfg))
 	}
 	// Single machine under heavy load: the preemption-dense regime where the
-	// waiting treap carries many banked remainders at any watermark.
+	// waiting index carries many banked remainders at any watermark.
 	cfg := workload.DefaultConfig(300, 1, 11)
 	cfg.Load = 1.6
 	out = append(out, workload.Random(cfg))
@@ -142,6 +144,35 @@ func TestWeightedSnapshotResumeMatchesRun(t *testing.T) {
 			if !reflect.DeepEqual(batch.Outcome, dres.Outcome) {
 				t.Fatalf("instance %d cut %d: Snapshot perturbed the donor", n, cut)
 			}
+		}
+	}
+}
+
+// TestRestoreRefusesV1Checkpoints feeds checkpoints written in the v1 wire
+// format (the waiting and pool indexes serialized as structural treaps; 25
+// of 40 jobs fed on 2 machines) to both restores: they must fail with the
+// engine's tag mismatch, naming both tags, rather than misparse the old
+// index layout.
+func TestRestoreRefusesV1Checkpoints(t *testing.T) {
+	for _, tc := range []struct {
+		file, want string
+		restore    func([]byte) error
+	}{
+		{"testdata/srpt_v1.snap", `"srpt/v1", restoring into "srpt/v2"`, func(b []byte) error {
+			_, err := Restore(bytes.NewReader(b), Options{})
+			return err
+		}},
+		{"testdata/wsrpt_v1.snap", `"wsrpt/v1", restoring into "wsrpt/v2"`, func(b []byte) error {
+			_, err := RestoreWeighted(bytes.NewReader(b), WeightedOptions{})
+			return err
+		}},
+	} {
+		b, err := os.ReadFile(tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.restore(b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: restore error %v, want a tag mismatch containing %s", tc.file, err, tc.want)
 		}
 	}
 }

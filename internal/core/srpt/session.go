@@ -39,7 +39,7 @@ func newSession(machines int, opt Options, hint int) (*Session, error) {
 	if hint < 0 {
 		hint = 0
 	}
-	p := newPolicy(machines)
+	p := newPolicy(machines, hint)
 	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint})
 	if err != nil {
 		return nil, err

@@ -18,14 +18,16 @@ var (
 )
 
 // SnapshotTag identifies the per-machine SRPT policy wire format.
-func (p *policy) SnapshotTag() string { return "srpt/v1" }
+// v2 stores each waiting index in the ostree.Flat layout; v1 (a structural
+// treap) is refused by the engine's tag check.
+func (p *policy) SnapshotTag() string { return "srpt/v2" }
 
 // SaveState serializes the preemption counter and each machine's waiting
-// treap. The waiting keys carry state that cannot be re-derived from the job
+// index. The waiting keys carry state that cannot be re-derived from the job
 // table — Key.P is the remaining processing time frozen at the last
-// preemption — and the least-backlog dispatch reads the treap's cached
-// volume sum, so the treap goes on the wire structurally (ostree.Snapshot)
-// for bit-exact restoration.
+// preemption — and the least-backlog dispatch reads the index's cached
+// volume sum, so the index goes on the wire with its exact leaf partition
+// and cached sums (ostree.Flat.Snapshot) for bit-exact restoration.
 func (p *policy) SaveState(e *snapshot.Encoder) {
 	e.Int(p.res.Preemptions)
 	e.U32(uint32(len(p.mach)))
@@ -34,7 +36,7 @@ func (p *policy) SaveState(e *snapshot.Encoder) {
 	}
 }
 
-// LoadState rebuilds the waiting treaps, validating that every banked
+// LoadState rebuilds the waiting indexes, validating that every banked
 // remainder is a positive finite volume of a known job.
 func (p *policy) LoadState(d *snapshot.Decoder) error {
 	p.res.Preemptions = d.Int()
@@ -74,7 +76,7 @@ func (p *policy) LoadState(d *snapshot.Decoder) error {
 func Restore(r io.Reader, opt Options) (*Session, error) {
 	var p *policy
 	es, err := engine.Restore(r, func(machines int) (engine.Policy, error) {
-		p = newPolicy(machines)
+		p = newPolicy(machines, 0)
 		return p, nil
 	})
 	if err != nil {
@@ -84,12 +86,14 @@ func Restore(r io.Reader, opt Options) (*Session, error) {
 }
 
 // SnapshotTag identifies the migratory weighted-SRPT policy wire format.
-func (p *wpolicy) SnapshotTag() string { return "wsrpt/v1" }
+// v2 stores the density pool in the ostree.Flat layout; v1 (a structural
+// treap) is refused by the engine's tag check.
+func (p *wpolicy) SnapshotTag() string { return "wsrpt/v2" }
 
 // SaveState serializes the migratory pool state: the preemption/migration
 // tallies, the dense per-job (remaining fraction, cached min-proc, last
-// machine) triples, and the global density pool — structurally, like every
-// treap in a snapshot, so the restored pool is bit-for-bit the donor's.
+// machine) triples, and the global density pool (ostree.Flat.Snapshot), so
+// the restored pool is bit-for-bit the donor's.
 func (p *wpolicy) SaveState(e *snapshot.Encoder) {
 	e.Int(p.res.Preemptions)
 	e.Int(p.res.Migrations)
@@ -103,8 +107,9 @@ func (p *wpolicy) SaveState(e *snapshot.Encoder) {
 }
 
 // LoadState rebuilds the dense job state and the global density pool,
-// validating every index and that pooled jobs carry usable fractions before
-// their keys are recomputed.
+// validating every index and that every pooled job carries a usable
+// fraction and min-proc. The pool keys are restored as written, not
+// recomputed from the dense state.
 func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 	p.res.Preemptions = d.Int()
 	p.res.Migrations = d.Int()

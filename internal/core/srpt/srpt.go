@@ -19,9 +19,9 @@
 //     the running job's true remainder), ties to the lowest index.
 //   - Scheduling: each machine runs SRPT — a shorter arrival preempts the
 //     running job (engine Preempt), whose remainder is banked in the
-//     per-machine waiting treap; whenever a machine idles it resumes the
-//     waiting job with the least remaining time. No job is ever rejected
-//     and no job migrates: preempted work resumes where it stopped.
+//     per-machine waiting index (ostree.Flat); whenever a machine idles it
+//     resumes the waiting job with the least remaining time. No job is ever
+//     rejected and no job migrates: preempted work resumes where it stopped.
 //
 // Outcomes validate with sched.ValidateMode{AllowPreemption: true}; the
 // engine's end-of-run audit checks volume conservation across every
@@ -55,7 +55,7 @@ type Result struct {
 
 // machine is the per-machine policy state (the engine owns the run state).
 type machine struct {
-	waiting *ostree.Tree // Key.P = frozen remaining processing time
+	waiting *ostree.Flat // Key.P = frozen remaining processing time
 }
 
 // policy implements engine.Policy with per-machine preemptive SRPT.
@@ -65,24 +65,27 @@ type policy struct {
 	mach []machine
 }
 
-func newPolicy(machines int) *policy {
+// newPolicy builds the policy for the given machine count; hint presizes
+// the waiting indexes for a run of about that many jobs.
+func newPolicy(machines, hint int) *policy {
 	p := &policy{res: &Result{}}
 	p.mach = make([]machine, machines)
+	h := ostree.PendingHint(hint, machines)
 	for i := range p.mach {
-		p.mach[i] = machine{waiting: ostree.New(uint64(0x5e11) + uint64(i))}
+		p.mach[i] = machine{waiting: ostree.NewFlatHint(h)}
 	}
 	return p
 }
 
 func (p *policy) Bind(c *engine.Core) { p.c = c }
 
-// Reset returns the policy to its freshly-constructed state: each waiting
-// treap empties into its node arena and reseeds with its original per-machine
-// seed, so a recycled run's tree shapes — and decisions — are exactly a new
-// policy's (engine.ResettablePolicy; see Session recycling).
+// Reset returns the policy to its freshly-constructed state, retaining the
+// waiting indexes' arenas; their structure is a pure function of the
+// operation sequence, so a recycled run decides exactly as a new policy
+// (engine.ResettablePolicy; see Session recycling).
 func (p *policy) Reset() {
 	for i := range p.mach {
-		p.mach[i].waiting.Reset(uint64(0x5e11) + uint64(i))
+		p.mach[i].waiting.Reset()
 	}
 	p.res = &Result{} // the previous Result was handed to the caller at Close
 }

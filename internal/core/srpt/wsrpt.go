@@ -52,7 +52,7 @@ type WeightedResult struct {
 type wpolicy struct {
 	c       *engine.Core
 	res     *WeightedResult
-	pending *ostree.Tree // Key.P = −w/(frac·p̃) (density order), global
+	pending *ostree.Flat // Key.P = −w/(frac·p̃) (density order), global
 	// Dense per-job state, indexed by compact job index.
 	frac     []float64 // remaining fraction of the job's work, in (0,1]
 	pmin     []float64 // cached min_i p_ij
@@ -62,18 +62,18 @@ type wpolicy struct {
 func newWPolicy() *wpolicy {
 	return &wpolicy{
 		res:     &WeightedResult{},
-		pending: ostree.New(0x3197),
+		pending: ostree.NewFlat(),
 	}
 }
 
 func (p *wpolicy) Bind(c *engine.Core) { p.c = c }
 
 // Reset returns the policy to its freshly-constructed state: the global
-// density pool empties into its node arena and reseeds with the original
-// seed, and the dense per-job slices truncate in place
-// (engine.ResettablePolicy; see WeightedSession recycling).
+// density pool empties, keeping its leaf arena, and the dense per-job slices
+// truncate in place (engine.ResettablePolicy; see WeightedSession
+// recycling).
 func (p *wpolicy) Reset() {
-	p.pending.Reset(0x3197)
+	p.pending.Reset()
 	p.frac = p.frac[:0]
 	p.pmin = p.pmin[:0]
 	p.lastMach = p.lastMach[:0]

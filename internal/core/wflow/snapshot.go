@@ -39,7 +39,7 @@ func (p *wpolicy) SaveState(e *snapshot.Encoder) {
 }
 
 // LoadState rebuilds the weighted-rule state on a freshly constructed
-// policy, validating the ε echo, restoring both treaps structurally, and
+// policy, validating the ε echo, restoring both flat indexes exactly, and
 // resolving every pending id against the restored job table before the
 // policy may look one up.
 func (p *wpolicy) LoadState(d *snapshot.Decoder) error {

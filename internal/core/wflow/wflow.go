@@ -86,27 +86,14 @@ type wpolicy struct {
 func newPolicy(opt Options, machines, hint int) *wpolicy {
 	p := &wpolicy{opt: opt, res: &Result{}}
 	p.mach = make([]wmachine, machines)
+	h := ostree.PendingHint(hint, machines)
 	for i := range p.mach {
 		p.mach[i] = wmachine{
-			pending: ostree.NewFlatHint(pendingHint(hint, machines)),
-			byProc:  ostree.NewFlatHint(pendingHint(hint, machines)),
+			pending: ostree.NewFlatHint(h),
+			byProc:  ostree.NewFlatHint(h),
 		}
 	}
 	return p
-}
-
-// pendingHint sizes a per-machine pending index for a run of about hint
-// jobs: the expected per-machine share, capped because pending queues drain
-// (their peak is load-bound, not run-length-bound).
-func pendingHint(hint, machines int) int {
-	if hint <= 0 || machines <= 0 {
-		return 0
-	}
-	h := hint / machines
-	if h > 2048 {
-		h = 2048
-	}
-	return h
 }
 
 func (p *wpolicy) Bind(c *engine.Core) { p.c = c }

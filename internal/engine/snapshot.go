@@ -23,7 +23,7 @@ import (
 // the donor policy's — SaveState therefore has to enumerate every piece of
 // state that can influence a decision, including counters, accumulators and
 // the exact float bit patterns of any cached keys. Derived performance-only
-// state (tree shapes, arena free lists, pool buffers) is deliberately NOT
+// state (arena free lists, slice capacities, pool buffers) is deliberately NOT
 // serialized: it is rebuilt on load and cannot influence outcomes.
 type StatefulPolicy interface {
 	Policy
@@ -348,18 +348,12 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 	return sr.End()
 }
 
-// KeyIndex is the read side any order-statistic pending index exposes for
-// restore-time validation: both ostree.Tree and ostree.Flat satisfy it.
-type KeyIndex interface {
-	Ascend(func(ostree.Key) bool)
-}
-
-// ValidateTreeIDs walks a restored ostree index (treap or flat) and fails
-// the decoder when a key references a job the session never fed — a later
-// IndexOf on such a key would hand the policy a -1 index and panic deep
-// inside an event handler, far from the corrupt snapshot that caused it.
-// what names the index in the error (e.g. "machine 3 pending").
-func ValidateTreeIDs(c *Core, t KeyIndex, d *snapshot.Decoder, what string) error {
+// ValidateTreeIDs walks a restored ostree index and fails the decoder when
+// a key references a job the session never fed — a later IndexOf on such a
+// key would hand the policy a -1 index and panic deep inside an event
+// handler, far from the corrupt snapshot that caused it. what names the
+// index in the error (e.g. "machine 3 pending").
+func ValidateTreeIDs(c *Core, t *ostree.Flat, d *snapshot.Decoder, what string) error {
 	bad, found := 0, false
 	t.Ascend(func(k ostree.Key) bool {
 		if c.IndexOf(k.ID) < 0 {

@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-func buildTree(n int, seed uint64) *Tree {
-	tr := New(seed)
-	rng := rand.New(rand.NewSource(int64(seed)))
-	for i := 0; i < n; i++ {
-		tr.Insert(Key{P: rng.Float64() * 100, Release: rng.Float64(), ID: i})
-	}
-	return tr
-}
-
 func buildFlat(n int, seed uint64) *Flat {
 	fl := NewFlat()
 	rng := rand.New(rand.NewSource(int64(seed)))
@@ -37,37 +28,9 @@ func probeKeys(n int, seed int64) []Key {
 
 const probeMask = 1<<13 - 1 // 8192 pre-generated inputs, cycled
 
-func BenchmarkInsert(b *testing.B) {
-	probes := probeKeys(probeMask+1, 1)
-	tr := New(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := probes[i&probeMask]
-		k.ID = i
-		tr.Insert(k)
-		if tr.Len() > 100000 {
-			b.StopTimer()
-			tr = New(uint64(i))
-			b.StartTimer()
-		}
-	}
-}
-
-func BenchmarkRankStats(b *testing.B) {
-	tr := buildTree(10000, 7)
-	probes := probeKeys(probeMask+1, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.RankStats(probes[i&probeMask])
-	}
-}
-
-// BenchmarkPendingRankStats is the flat-index counterpart of
-// BenchmarkRankStats: the same probe stream against an ostree.Flat of the
-// same size. Gated on allocs/op in CI (cmd/benchcheck); the ns/op ratio to
-// BenchmarkRankStats is the headline number of the cache-resident layout.
+// BenchmarkPendingRankStats times one rank query against a 10k-element
+// flat index, cycling a pre-generated probe stream. Gated on allocs/op in
+// CI (cmd/benchcheck).
 func BenchmarkPendingRankStats(b *testing.B) {
 	fl := buildFlat(10000, 7)
 	probes := probeKeys(probeMask+1, 2)
@@ -78,25 +41,9 @@ func BenchmarkPendingRankStats(b *testing.B) {
 	}
 }
 
-func BenchmarkInsertDeleteMinMax(b *testing.B) {
-	tr := buildTree(10000, 9)
-	probes := probeKeys(probeMask+1, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := probes[i&probeMask]
-		k.ID = 100000 + i
-		tr.Insert(k)
-		tr.DeleteMin()
-		k = probes[(i+1)&probeMask]
-		k.ID = 200000 + i
-		tr.Insert(k)
-		tr.DeleteMax()
-	}
-}
-
-// BenchmarkFlatInsertDeleteMinMax mirrors BenchmarkInsertDeleteMinMax on the
-// flat index (advisory; not gated).
+// BenchmarkFlatInsertDeleteMinMax times one churn cycle — insert,
+// delete-min, insert, delete-max — on a 10k-element flat index. Gated on
+// allocs/op in CI (cmd/benchcheck).
 func BenchmarkFlatInsertDeleteMinMax(b *testing.B) {
 	fl := buildFlat(10000, 9)
 	probes := probeKeys(probeMask+1, 3)

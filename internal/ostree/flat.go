@@ -1,16 +1,13 @@
 package ostree
 
-// Flat is a cache-resident order-statistic index satisfying the same
-// contract as Tree (Insert/Delete/DeleteMin/DeleteMax/Min/Max, RankStats /
-// RankStatsVals, the P- and value-pair aggregates, Ascend) over the same
-// Key order. Where the treap chases pointers through log n randomly placed
-// nodes, Flat is an implicit B-tree laid out for the hardware prefetcher —
-// three levels, all flat slices, no pointers:
+// Flat is a cache-resident order-statistic index over the Key order:
+// Insert/Delete/DeleteMin/DeleteMax/Min/Max, RankStats / RankStatsVals, the
+// P- and value-pair aggregates and Ascend. It is an implicit B-tree laid out
+// for the hardware prefetcher — three levels, all flat slices, no pointers:
 //
 //   - The bottom level is an arena of fixed-capacity sorted leaves
 //     (leafCap keys each) addressed by dense int32 ids and recycled through
-//     a free list — the same discipline as the treap's node arena, so
-//     steady-state insert/delete churn never allocates.
+//     a free list, so steady-state insert/delete churn never allocates.
 //   - The middle level is one flat slice of per-leaf summaries (leafMeta:
 //     count, max key, cached sums), in key order.
 //   - The top level groups runs of up to groupCap summaries under a
@@ -23,16 +20,16 @@ package ostree
 // the prefetcher streams. The fan-outs are cache-line-sized: a leafMeta is
 // 56 bytes (≈ one line each at stride, prefetched), a leaf's key array is
 // 768 bytes = 12 lines scanned linearly, and a 32-way group summary scan
-// replaces 5 random pointer hops of a treap descent.
+// replaces 5 random pointer hops of a binary-tree descent.
 //
 // Determinism and resume: the cached sums of leaves, groups and the index
 // itself are incremental float accumulations (add on insert, subtract on
 // delete, canonical recompute only when a leaf or group splits), so their
 // exact bits are history-dependent — Snapshot serializes all of them
 // verbatim along with the exact leaf partition, which is what the engine's
-// bit-identical-resume guarantee requires (see Tree.Snapshot for the
+// bit-identical-resume guarantee requires (see Snapshot for the
 // rationale). Counts and max keys are exact (integers and key copies) and
-// are recomputed on restore. There is no PRNG: future structure is a pure
+// are recomputed on restore. Nothing is random: future structure is a pure
 // function of the restored state and the operation stream.
 type Flat struct {
 	leaves []flatLeaf
@@ -81,9 +78,8 @@ type groupMeta struct {
 	sumB    float64
 }
 
-// NewFlat returns an empty flat index. Unlike New (the treap) it needs no
-// priority seed: the structure is fully determined by the operation
-// sequence.
+// NewFlat returns an empty flat index. Its structure is fully determined by
+// the operation sequence.
 func NewFlat() *Flat { return &Flat{} }
 
 // NewFlatHint returns an empty flat index with the leaf arena and summary
@@ -106,10 +102,22 @@ func NewFlatHint(hint int) *Flat {
 	}
 }
 
+// PendingHint sizes one per-machine pending index for a run of about hint
+// jobs on the given machine count: the expected per-machine share, capped
+// so a huge run hint cannot balloon the presized arenas (pending queues
+// drain; their peak is load-, not run-length-bound). Pass the result to
+// NewFlatHint.
+func PendingHint(hint, machines int) int {
+	if hint <= 0 || machines <= 0 {
+		return 0
+	}
+	return min(hint/machines, 2048)
+}
+
 // Reset empties the index for a fresh run, retaining the leaf arena, the
-// summary slices and the free list's capacity. Unlike the treap no seed is
-// involved: the structure is a pure function of the operation sequence, so a
-// recycled index is indistinguishable from a new one.
+// summary slices and the free list's capacity. The structure is a pure
+// function of the operation sequence, so a recycled index is
+// indistinguishable from a new one.
 func (f *Flat) Reset() {
 	f.leaves = f.leaves[:0]
 	f.order = f.order[:0]

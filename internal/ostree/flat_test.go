@@ -46,153 +46,14 @@ func roundTripFlat(t *testing.T, f *Flat) *Flat {
 	return nf
 }
 
-// roundTripTree does the same for the treap.
-func roundTripTree(t *testing.T, tr *Tree) *Tree {
-	t.Helper()
-	var buf bytes.Buffer
-	sw := snapshot.NewWriter(&buf)
-	sw.Section("TREE", tr.Snapshot)
-	if err := sw.Close(); err != nil {
-		t.Fatalf("tree snapshot: %v", err)
-	}
-	sr, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("tree snapshot reader: %v", err)
-	}
-	d, err := sr.Section("TREE")
-	if err != nil {
-		t.Fatalf("tree snapshot section: %v", err)
-	}
-	nt := New(1)
-	if err := nt.Restore(d); err != nil {
-		t.Fatalf("tree restore: %v", err)
-	}
-	if err := d.Done(); err != nil {
-		t.Fatalf("tree restore trailing: %v", err)
-	}
-	return nt
-}
-
-// applyOpsFlatVsTreap drives a treap and a flat index through the same
-// operation stream and cross-checks every observable: delete results and
-// order extremes exactly, rank counts exactly, float aggregates within the
-// re-association tolerance (the two structures accumulate prefix sums in
-// different orders). Op 5 freezes BOTH structures through the snapshot
-// container mid-sequence and continues on the restored copies, so the fuzz
-// explores resume points interleaved arbitrarily with mutations.
-func applyOpsFlatVsTreap(t *testing.T, seed uint64, ops []byte) {
-	t.Helper()
-	tr := New(seed)
-	fl := NewFlat()
-	nextID := 0
-	for pc := 0; pc+1 < len(ops); pc += 2 {
-		op, arg := ops[pc], ops[pc+1]
-		switch op % 6 {
-		case 0: // insert with values
-			p := float64(arg%16) + 0.5
-			k := Key{P: p, Release: float64(arg % 7), ID: nextID}
-			nextID++
-			a, b := p*2, float64(arg%5)
-			tr.InsertVals(k, a, b)
-			fl.InsertVals(k, a, b)
-		case 1: // delete-min
-			gk, gok := fl.DeleteMin()
-			wk, wok := tr.DeleteMin()
-			if gok != wok || gk != wk {
-				t.Fatalf("op %d: DeleteMin got (%v,%v) want (%v,%v)", pc, gk, gok, wk, wok)
-			}
-		case 2: // delete-max
-			gk, gok := fl.DeleteMax()
-			wk, wok := tr.DeleteMax()
-			if gok != wok || gk != wk {
-				t.Fatalf("op %d: DeleteMax got (%v,%v) want (%v,%v)", pc, gk, gok, wk, wok)
-			}
-		case 3: // delete an arbitrary (maybe absent) key
-			k := Key{P: float64(arg%16) + 0.5, Release: float64(arg % 7), ID: int(arg) % (nextID + 1)}
-			if got, want := fl.Delete(k), tr.Delete(k); got != want {
-				t.Fatalf("op %d: Delete(%v) got %v want %v", pc, k, got, want)
-			}
-		case 4: // rank query at a probe key (stored or not)
-			k := Key{P: float64(arg%16) + 0.5, Release: float64(arg % 7), ID: int(arg) % (nextID + 1)}
-			gb, gp, ga, gb2, gaft := fl.RankStatsVals(k)
-			wb, wp, wa, wb2, waft := tr.RankStatsVals(k)
-			if gb != wb || gaft != waft || !approxEq(gp, wp) || !approxEq(ga, wa) || !approxEq(gb2, wb2) {
-				t.Fatalf("op %d: RankStatsVals(%v) got (%d,%v,%v,%v,%d) want (%d,%v,%v,%v,%d)",
-					pc, k, gb, gp, ga, gb2, gaft, wb, wp, wa, wb2, waft)
-			}
-			b2, p2, aft2 := fl.RankStats(k)
-			if b2 != wb || aft2 != waft || !approxEq(p2, wp) {
-				t.Fatalf("op %d: RankStats(%v) got (%d,%v,%d) want (%d,%v,%d)", pc, k, b2, p2, aft2, wb, wp, waft)
-			}
-			gmin, gminOK := fl.Min()
-			wmin, wminOK := tr.Min()
-			gmax, gmaxOK := fl.Max()
-			wmax, wmaxOK := tr.Max()
-			if gminOK != wminOK || gmin != wmin || gmaxOK != wmaxOK || gmax != wmax {
-				t.Fatalf("op %d: Min/Max diverge: (%v,%v)/(%v,%v) want (%v,%v)/(%v,%v)",
-					pc, gmin, gminOK, gmax, gmaxOK, wmin, wminOK, wmax, wmaxOK)
-			}
-		case 5: // snapshot + restore both structures, continue on the copies
-			fl = roundTripFlat(t, fl)
-			tr = roundTripTree(t, tr)
-		}
-		// Invariants after every op.
-		if fl.Len() != tr.Len() {
-			t.Fatalf("op %d: Len got %d want %d", pc, fl.Len(), tr.Len())
-		}
-		if !approxEq(fl.SumP(), tr.SumP()) {
-			t.Fatalf("op %d: SumP got %v want %v", pc, fl.SumP(), tr.SumP())
-		}
-		ga, gb := fl.SumVals()
-		wa, wb := tr.SumVals()
-		if !approxEq(ga, wa) || !approxEq(gb, wb) {
-			t.Fatalf("op %d: SumVals got (%v,%v) want (%v,%v)", pc, ga, gb, wa, wb)
-		}
-	}
-	// Final full-order check.
-	got, want := fl.Keys(), tr.Keys()
-	if len(got) != len(want) {
-		t.Fatalf("final: %d keys, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("final key %d: got %v want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestFlatDifferentialRandom runs the flat-vs-treap differential model under
-// long random operation streams (always on, independent of fuzzing).
-func TestFlatDifferentialRandom(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ops := make([]byte, 4000)
-		rng.Read(ops)
-		applyOpsFlatVsTreap(t, uint64(seed)*0x9e37+1, ops)
-	}
-}
-
-// FuzzFlatVsTreap lets the fuzzer search for operation interleavings —
-// including mid-sequence snapshot/restore — where the flat index diverges
-// from the treap.
-func FuzzFlatVsTreap(f *testing.F) {
-	f.Add(uint64(1), []byte{0, 3, 0, 7, 4, 5, 1, 0, 0, 9, 2, 0, 3, 7})
-	f.Add(uint64(42), []byte{0, 1, 0, 1, 5, 0, 0, 1, 4, 1, 1, 0, 1, 0})
-	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
-		if len(ops) > 1<<12 {
-			ops = ops[:1<<12]
-		}
-		applyOpsFlatVsTreap(t, seed, ops)
-	})
-}
-
 // TestFlatLeafChurnRecyclesArena hammers one index through many
 // insert/delete cycles spanning multiple leaves and checks the leaf arena
 // reaches steady state: once the working set's high-water mark is seen, the
-// free list absorbs all further churn and the arena stops growing.
+// free list absorbs all further churn and the arena stops growing. Every
+// deletion and a final rank query are cross-checked against the model.
 func TestFlatLeafChurnRecyclesArena(t *testing.T) {
 	fl := NewFlat()
-	tr := New(7)
+	ref := newRef()
 	rng := rand.New(rand.NewSource(99))
 	id := 0
 	arenaAfterWarmup := -1
@@ -203,25 +64,25 @@ func TestFlatLeafChurnRecyclesArena(t *testing.T) {
 		k := Key{P: rng.Float64() * 10, Release: rng.Float64(), ID: id}
 		id++
 		fl.Insert(k)
-		tr.Insert(k)
+		ref.insert(k, 0, 0)
 	}
 	for cycle := 0; cycle < 50; cycle++ {
 		for i := 0; i < 90; i++ {
 			k := Key{P: rng.Float64() * 10, Release: rng.Float64(), ID: id}
 			id++
 			fl.Insert(k)
-			tr.Insert(k)
+			ref.insert(k, 0, 0)
 		}
 		for i := 0; i < 90; i++ {
 			if rng.Intn(2) == 0 {
 				gk, _ := fl.DeleteMin()
-				wk, _ := tr.DeleteMin()
+				wk, _ := ref.deleteMin()
 				if gk != wk {
 					t.Fatalf("cycle %d: DeleteMin %v want %v", cycle, gk, wk)
 				}
 			} else {
 				gk, _ := fl.DeleteMax()
-				wk, _ := tr.DeleteMax()
+				wk, _ := ref.deleteMax()
 				if gk != wk {
 					t.Fatalf("cycle %d: DeleteMax %v want %v", cycle, gk, wk)
 				}
@@ -237,7 +98,7 @@ func TestFlatLeafChurnRecyclesArena(t *testing.T) {
 	}
 	probe := Key{P: 5, Release: 0.5, ID: id}
 	gb, gp, gaft := fl.RankStats(probe)
-	wb, wp, waft := tr.RankStats(probe)
+	wb, wp, _, _, waft := ref.rankStats(probe)
 	if gb != wb || gaft != waft || !approxEq(gp, wp) {
 		t.Fatalf("post-churn RankStats got (%d,%v,%d) want (%d,%v,%d)", gb, gp, gaft, wb, wp, waft)
 	}

@@ -7,37 +7,6 @@ import (
 	"testing/quick"
 )
 
-// reference is a brute-force model of the tree used by the property tests.
-type reference struct{ keys []Key }
-
-func (r *reference) insert(k Key) {
-	r.keys = append(r.keys, k)
-	sort.Slice(r.keys, func(a, b int) bool { return r.keys[a].Less(r.keys[b]) })
-}
-
-func (r *reference) delete(k Key) bool {
-	for i, kk := range r.keys {
-		if kk == k {
-			r.keys = append(r.keys[:i], r.keys[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-func (r *reference) rankStats(k Key) (before int, sumP float64, after int) {
-	for _, kk := range r.keys {
-		switch {
-		case kk.Less(k):
-			before++
-			sumP += kk.P
-		case k.Less(kk):
-			after++
-		}
-	}
-	return
-}
-
 func randKey(rng *rand.Rand, idSpace int) Key {
 	return Key{
 		P:       float64(rng.Intn(20)) / 2,
@@ -48,8 +17,8 @@ func randKey(rng *rand.Rand, idSpace int) Key {
 
 func TestAgainstReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tr := New(1)
-	ref := &reference{}
+	fl := NewFlat()
+	ref := newRef()
 	present := map[Key]bool{}
 	for step := 0; step < 5000; step++ {
 		switch op := rng.Intn(6); {
@@ -59,46 +28,42 @@ func TestAgainstReferenceModel(t *testing.T) {
 				k.ID = rng.Intn(1 << 20)
 			}
 			present[k] = true
-			tr.Insert(k)
-			ref.insert(k)
+			fl.Insert(k)
+			ref.insert(k, 0, 0)
 		case op == 3 && len(ref.keys) > 0: // delete random present key
 			k := ref.keys[rng.Intn(len(ref.keys))]
 			delete(present, k)
-			if !tr.Delete(k) {
+			if !fl.Delete(k) {
 				t.Fatalf("step %d: Delete(%v) not found", step, k)
 			}
 			ref.delete(k)
 		case op == 4 && len(ref.keys) > 0: // delete-min
-			k, ok := tr.DeleteMin()
+			k, ok := fl.DeleteMin()
 			if !ok || k != ref.keys[0] {
 				t.Fatalf("step %d: DeleteMin = %v, want %v", step, k, ref.keys[0])
 			}
 			delete(present, k)
 			ref.delete(k)
 		case op == 5 && len(ref.keys) > 0: // delete-max
-			k, ok := tr.DeleteMax()
+			k, ok := fl.DeleteMax()
 			if !ok || k != ref.keys[len(ref.keys)-1] {
 				t.Fatalf("step %d: DeleteMax = %v, want %v", step, k, ref.keys[len(ref.keys)-1])
 			}
 			delete(present, k)
 			ref.delete(k)
 		}
-		if tr.Len() != len(ref.keys) {
-			t.Fatalf("step %d: Len = %d, want %d", step, tr.Len(), len(ref.keys))
+		if fl.Len() != len(ref.keys) {
+			t.Fatalf("step %d: Len = %d, want %d", step, fl.Len(), len(ref.keys))
 		}
 		if step%97 == 0 {
 			// spot-check aggregates and rank stats
-			var wantSum float64
-			for _, k := range ref.keys {
-				wantSum += k.P
-			}
-			if diff := tr.SumP() - wantSum; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("step %d: SumP = %v, want %v", step, tr.SumP(), wantSum)
+			if !approxEq(fl.SumP(), ref.sumP()) {
+				t.Fatalf("step %d: SumP = %v, want %v", step, fl.SumP(), ref.sumP())
 			}
 			probe := randKey(rng, 1000)
-			b, s, a := tr.RankStats(probe)
-			wb, ws, wa := ref.rankStats(probe)
-			if b != wb || a != wa || s-ws > 1e-9 || ws-s > 1e-9 {
+			b, s, a := fl.RankStats(probe)
+			wb, ws, _, _, wa := ref.rankStats(probe)
+			if b != wb || a != wa || !approxEq(s, ws) {
 				t.Fatalf("step %d: RankStats(%v) = (%d,%v,%d), want (%d,%v,%d)",
 					step, probe, b, s, a, wb, ws, wa)
 			}
@@ -107,35 +72,44 @@ func TestAgainstReferenceModel(t *testing.T) {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New(0)
-	if tr.Len() != 0 || tr.SumP() != 0 {
-		t.Fatal("empty tree has non-zero aggregates")
+	fl := NewFlat()
+	if fl.Len() != 0 || fl.SumP() != 0 {
+		t.Fatal("empty index has non-zero aggregates")
 	}
-	if _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree reported ok")
+	if a, b := fl.SumVals(); a != 0 || b != 0 {
+		t.Fatal("empty index has non-zero value sums")
 	}
-	if _, ok := tr.DeleteMax(); ok {
-		t.Fatal("DeleteMax on empty tree reported ok")
+	if _, ok := fl.Min(); ok {
+		t.Fatal("Min on empty index reported ok")
 	}
-	if tr.Delete(Key{ID: 3}) {
-		t.Fatal("Delete on empty tree reported found")
+	if _, ok := fl.Max(); ok {
+		t.Fatal("Max on empty index reported ok")
 	}
-	b, s, a := tr.RankStats(Key{P: 1})
+	if _, ok := fl.DeleteMin(); ok {
+		t.Fatal("DeleteMin on empty index reported ok")
+	}
+	if _, ok := fl.DeleteMax(); ok {
+		t.Fatal("DeleteMax on empty index reported ok")
+	}
+	if fl.Delete(Key{ID: 3}) {
+		t.Fatal("Delete on empty index reported found")
+	}
+	b, s, a := fl.RankStats(Key{P: 1})
 	if b != 0 || s != 0 || a != 0 {
-		t.Fatal("RankStats on empty tree non-zero")
+		t.Fatal("RankStats on empty index non-zero")
 	}
 }
 
 func TestKeysSortedProperty(t *testing.T) {
-	f := func(ps []float64, seed int64) bool {
-		tr := New(uint64(seed))
+	f := func(ps []float64) bool {
+		fl := NewFlat()
 		for i, p := range ps {
 			if p < 0 {
 				p = -p
 			}
-			tr.Insert(Key{P: p, ID: i})
+			fl.Insert(Key{P: p, ID: i})
 		}
-		keys := tr.Keys()
+		keys := fl.Keys()
 		if len(keys) != len(ps) {
 			return false
 		}
@@ -147,49 +121,25 @@ func TestKeysSortedProperty(t *testing.T) {
 }
 
 func TestRankStatsExcludesSelf(t *testing.T) {
-	tr := New(1)
+	fl := NewFlat()
 	k := Key{P: 5, Release: 1, ID: 3}
-	tr.Insert(k)
-	tr.Insert(Key{P: 1, ID: 1})
-	tr.Insert(Key{P: 9, ID: 9})
-	before, sum, after := tr.RankStats(k)
+	fl.Insert(k)
+	fl.Insert(Key{P: 1, ID: 1})
+	fl.Insert(Key{P: 9, ID: 9})
+	before, sum, after := fl.RankStats(k)
 	if before != 1 || sum != 1 || after != 1 {
 		t.Fatalf("RankStats = (%d,%v,%d), want (1,1,1): stored key must not count itself", before, sum, after)
 	}
 }
 
 func TestAscendEarlyStop(t *testing.T) {
-	tr := New(1)
-	for i := 0; i < 10; i++ {
-		tr.Insert(Key{P: float64(i), ID: i})
+	fl := NewFlat()
+	for i := 0; i < 100; i++ {
+		fl.Insert(Key{P: float64(i), ID: i})
 	}
 	count := 0
-	tr.Ascend(func(Key) bool { count++; return count < 3 })
-	if count != 3 {
-		t.Fatalf("Ascend visited %d keys, want 3", count)
-	}
-}
-
-func TestDeterministicGivenSeed(t *testing.T) {
-	build := func() []Key {
-		tr := New(99)
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < 100; i++ {
-			tr.Insert(Key{P: rng.Float64(), ID: i})
-		}
-		for i := 0; i < 20; i++ {
-			tr.DeleteMin()
-			tr.DeleteMax()
-		}
-		return tr.Keys()
-	}
-	a, b := build(), build()
-	if len(a) != len(b) {
-		t.Fatal("non-deterministic sizes")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("non-deterministic contents")
-		}
+	fl.Ascend(func(Key) bool { count++; return count < 40 })
+	if count != 40 {
+		t.Fatalf("Ascend visited %d keys, want 40", count)
 	}
 }
