@@ -230,12 +230,32 @@ func TestDifferentialRandom(t *testing.T) {
 func FuzzFlatVsReference(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 7, 4, 5, 1, 0, 0, 9, 2, 0, 3, 7})
 	f.Add([]byte{0, 1, 0, 1, 5, 0, 0, 1, 4, 1, 1, 0, 1, 0})
-	f.Add([]byte{0, 1, 0, 1, 0, 1, 4, 1, 1, 0, 1, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1<<12 {
 			ops = ops[:1<<12]
 		}
 		applyOps(t, ops)
+	})
+}
+
+// FuzzTreeVsReference fuzzes the in-memory operations alone: every op byte
+// is folded modulo 5, so no input spends ops on snapshot/restore and each
+// stream is all inserts, deletions and rank queries against the naive model.
+func FuzzTreeVsReference(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 7, 4, 5, 1, 0, 0, 9, 2, 0, 3, 7})
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 4, 1, 1, 0, 1, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 1<<12 {
+			ops = ops[:1<<12]
+		}
+		folded := make([]byte, len(ops))
+		for pc := range ops {
+			folded[pc] = ops[pc]
+			if pc%2 == 0 {
+				folded[pc] %= 5
+			}
+		}
+		applyOps(t, folded)
 	})
 }
 
